@@ -18,6 +18,7 @@ from .tensor_ops import (  # noqa: F401
     QOperator,
     Select,
     adjoint,
+    ancilla_block,
     apply,
     as_matrix,
     basis_state,
@@ -79,4 +80,5 @@ from .sampling import (  # noqa: F401
     histogram_csv,
     pooled_report,
     sample_counts,
+    with_rest,
 )

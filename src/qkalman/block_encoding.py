@@ -34,10 +34,10 @@ from .tensor_ops import (
     Product,
     QOperator,
     Select,
+    ancilla_block,
     as_matrix,
     frobenius_norm,
     identity_op,
-    materialize_block,
     svd,
     unitarity_residual,
 )
@@ -182,14 +182,13 @@ def encode_zero(s: int, alpha: float = 1.0, ancillas: int | None = None,
 
 
 def decode(be: BlockEncoding) -> np.ndarray:
-    """alpha times the top-left block, cropped to the pre-padding shape."""
-    dim = 2**be.system_qubits
-    idx = list(range(dim))
-    block = materialize_block(be.op, idx, idx)
-    out = be.alpha * block
-    if be.shape is not None:
-        out = out[: be.shape[0], : be.shape[1]]
-    return out
+    """alpha times the top-left block, cropped to the pre-padding shape.
+
+    Only the columns kept by the crop are computed, through the
+    ancilla-zero evaluator (no full-register statevector).
+    """
+    rows, cols = be.shape if be.shape is not None else (2**be.system_qubits,) * 2
+    return be.alpha * ancilla_block(be.op, be.ancillas, range(cols))[:rows]
 
 
 @dataclass(frozen=True)

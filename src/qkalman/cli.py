@@ -352,7 +352,7 @@ def emit_csv(report: dict, kind: str, path: str | None = None) -> str:
         last = sampling[max(sampling, key=int)]
         counts = last["x_hat"]["counts_nonzero"]
         lines = ["basis_index,count"]
-        for idx in sorted(counts, key=int):
+        for idx in sorted(counts, key=lambda k: math.inf if k == "rest" else int(k)):
             lines.append(f"{idx},{counts[idx]}")
     else:
         raise ConfigError(f"unknown CSV kind {kind!r}")

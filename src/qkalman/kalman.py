@@ -17,11 +17,18 @@ rules, so ledger rows are reproducible to machine precision. Inversion
 metadata (measured condition number, polynomial degree, scale, solver
 residual and iterations) rides along per step.
 
-The filter loop measures at each step boundary (exact decode, or sampled
-readout with seeded shot noise) and re-encodes the estimates freshly, so
-ancillas do not accumulate across steps. The innovation dimension must
-fill its register exactly (m = 2^s): zero-padding would make the padded
-innovation covariance singular and uninvertible.
+The filter loop measures at each step boundary and re-encodes the
+estimates freshly, so ancillas do not accumulate across steps. Both
+readouts evaluate only the ancilla-zero block of the columns they need
+(`tensor_ops.ancilla_block`), never a full-register statevector. Exact
+readout decodes x_hat's one column and P's n columns. Sampled readout draws, per column, seeded
+shots over the n target outcomes plus one rest outcome that stands for
+every other basis state, and estimates entries as alpha*sqrt(frequency)
+with exact-amplitude signs.
+
+The innovation dimension must fill its register exactly (m = 2^s):
+zero-padding would make the padded innovation covariance singular and
+uninvertible.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ from .errors import (
     SingularityError,
 )
 from .inversion import be_invert, inverse_poly, solve_phase_factors
-from .sampling import estimate_entries, exact_amplitudes, pooled_report
-from .tensor_ops import compact_operator, op_stats
+from .sampling import estimate_entries, pooled_report, with_rest
+from .tensor_ops import ancilla_block, compact_operator, op_stats
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -397,11 +404,14 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
 
 def _sampled_column(be: BlockEncoding, column: int, rows: int, shots: int,
                     iterations: int, entropy) -> tuple[np.ndarray, dict]:
-    """Sampled estimate of one decoded column, signs from exact amplitudes."""
-    amps = exact_amplitudes(be, column)
-    report = pooled_report(amps, shots, iterations, entropy)
-    signs = amps[:rows].real
-    ests = estimate_entries(report, be.alpha, range(rows), signs=signs)
+    """Sampled estimate of one decoded column, signs from exact amplitudes.
+
+    Shots land on the `rows` target outcomes |0^a, i> or on one rest
+    outcome that stands for every other basis state of the register.
+    """
+    amps = ancilla_block(be.op, be.ancillas, [column])[:rows, 0]
+    report = pooled_report(with_rest(amps), shots, iterations, entropy)
+    ests = estimate_entries(report, be.alpha, range(rows), signs=amps.real)
     values = np.array([e.value for e in ests])
     meta = {
         "column": column,
@@ -410,8 +420,9 @@ def _sampled_column(be: BlockEncoding, column: int, rows: int, shots: int,
         "entropy": tuple(entropy),
         "std_error": [e.std_error for e in ests],
         "zero_count": [e.zero_count for e in ests],
-        "counts_nonzero": {int(i): int(report.counts[i])
-                           for i in np.flatnonzero(report.counts)},
+        "counts_nonzero": {
+            ("rest" if i == rows else int(i)): int(report.counts[i])
+            for i in np.flatnonzero(report.counts)},
     }
     return values, meta
 

@@ -1,13 +1,17 @@
 """Simulated measurement: exact amplitudes, seeded shot sampling, and
 entry estimation through the normalization factor.
 
-Sampling draws multinomial counts over |amplitude|^2 with a Philox
-counter-based generator, so histograms are reproducible from the seed
-alone. Multi-iteration runs derive one child seed per iteration from a
-SeedSequence and pool the counts; the pooled histogram is independent of
-iteration order. Estimates are alpha*sqrt(count/N) and are magnitudes;
-signs are recovered from the exact amplitudes when the caller passes
-them (simulator privilege), else reported as unknown.
+Sampling draws multinomial counts over |amplitude|^2 of the outcomes it
+is given, with a Philox counter-based generator, so histograms are
+reproducible from the seed alone. The filter's readout gives it the
+target entries of one column plus a single rest outcome (`with_rest`),
+not the full register: the target counts are distributed as in a
+full-register draw and, for one seed, equal to it. Multi-iteration runs
+derive one child seed per iteration from a SeedSequence and pool the
+counts; the pooled histogram is independent of iteration order.
+Estimates are alpha*sqrt(count/N) and are magnitudes; signs are
+recovered from the exact amplitudes when the caller passes them
+(simulator privilege), else reported as unknown.
 """
 
 from __future__ import annotations
@@ -54,6 +58,21 @@ def exact_amplitudes(be: BlockEncoding, column: int = 0) -> np.ndarray:
         raise DimensionError(f"column {column} out of range for {dim} states")
     state = basis_state(be.op.nqubits, column)  # ancillas lead, so flat index = column
     return apply(be.op, state)
+
+
+def with_rest(targets: np.ndarray) -> np.ndarray:
+    """Target amplitudes plus one rest outcome carrying the remaining mass.
+
+    The rest amplitude is sqrt(max(0, 1 - sum |a_i|^2)): rounding can
+    push the target mass of a unit column a hair above 1, and the rest
+    is then clamped at 0. Drawing over this vector gives the target
+    counts of a draw over the full unit-norm column, and for one seed
+    the same ones (a multinomial draws its outcomes in order, each as a
+    binomial of what is left).
+    """
+    targets = np.asarray(targets, dtype=complex)
+    rest = np.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(targets) ** 2))))
+    return np.append(targets, rest)
 
 
 def sample_counts(amplitudes: np.ndarray, shots: int, seed) -> np.ndarray:

@@ -6,9 +6,14 @@ Conventions used throughout the package:
   has flat index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}. Ancilla
   registers are always prepended most-significant, so the state
   |0^a>|j> of an (a+s)-qubit register has flat index j.
-* Operators are trees. The only execution primitive is application to a
-  statevector; nothing above ``DENSE_THRESHOLD`` qubits is ever
-  materialized as a dense matrix.
+* Operators are trees, executed in one of two ways; nothing above
+  ``DENSE_THRESHOLD`` qubits is ever materialized as a dense matrix.
+  ``apply`` pushes a full-register statevector through the tree: the
+  reference path for unitarity checks, compaction and exact amplitudes.
+  ``ancilla_block`` reads columns of the <0^a|.|0^a> block only: its
+  state holds the system register plus the ancilla wires that nodes
+  have touched and nodes still to come will touch, so a register of
+  a+s qubits costs about 2^(live wires) amplitudes per column.
 * ``Product((A, B))`` means the matrix product A @ B, i.e. B is applied
   first. ``Select(u0, u1)`` is |0><0| (x) u0 + |1><1| (x) u1 with the
   control on wire 0. ``Extend`` embeds a child operator on an explicit
@@ -298,6 +303,153 @@ def materialize_block(op: QOperator, rows, cols) -> np.ndarray:
         basis[c, j] = 1.0
     image = _apply_batch(op, basis)
     return image[rows, :]
+
+
+class _AncillaZeroWalk:
+    """One traversal for ancilla_block; holds nothing past the call.
+
+    The state is an array of shape (2,)*len(live) + (batch,) whose axes
+    carry the global wires in `live`. A wire outside `live` is exactly
+    |0> in every component. Each node maps local wires to global ones
+    through `wmap` and learns, through `future`, the global wires that
+    nodes applied after it touch; after the node, every live ancilla
+    wire outside `future` is projected onto |0>.
+    """
+
+    def __init__(self, ancillas: int):
+        self.ancillas = ancillas
+        self._support: dict = {}  # id(node) -> local wires; nodes live for the call
+
+    def support(self, op: QOperator) -> frozenset:
+        """Local wires op may act on non-trivially."""
+        hit = self._support.get(id(op))
+        if hit is not None:
+            return hit
+        if isinstance(op, Dense):
+            hit = frozenset(range(op.nqubits))
+        elif isinstance(op, Product):
+            hit = frozenset().union(*(self.support(c) for c in op.children))
+        elif isinstance(op, Adjoint):
+            hit = self.support(op.child)
+        elif isinstance(op, Select):
+            inner = self.support(op.u0) | self.support(op.u1)
+            hit = frozenset({0}) | frozenset(w + 1 for w in inner)
+        elif isinstance(op, Extend):
+            hit = frozenset(op.wires[w] for w in self.support(op.child))
+        elif isinstance(op, ProjectorPhase):
+            hit = frozenset(op.wires)
+        else:
+            raise TypeError(f"unknown operator node {type(op).__name__}")
+        self._support[id(op)] = hit
+        return hit
+
+    def walk(self, op, arr, live, wmap, future, dag):
+        """Apply op (its adjoint if dag) to the live state, then project."""
+        if isinstance(op, Dense):
+            arr, live = _apply_on_live(op.matrix, dag, wmap, arr, live)
+        elif isinstance(op, Adjoint):
+            arr, live = self.walk(op.child, arr, live, wmap, future, not dag)
+        elif isinstance(op, Product):
+            kids = op.children if dag else op.children[::-1]  # application order
+            after = [future] * len(kids)
+            for i in range(len(kids) - 1, 0, -1):
+                after[i - 1] = after[i] | {wmap[w] for w in self.support(kids[i])}
+            for kid, fut in zip(kids, after):
+                arr, live = self.walk(kid, arr, live, wmap, fut, dag)
+        elif isinstance(op, Select):
+            control, sub = wmap[0], wmap[1:]
+            if control not in live:  # control is |0>: only u0 acts
+                arr, live = self.walk(op.u0, arr, live, sub, future, dag)
+            else:
+                pos = live.index(control)
+                rest = live[:pos] + live[pos + 1:]
+                branches = [self.walk(u, np.take(arr, bit, axis=pos), rest, sub,
+                                      future, dag)
+                            for bit, u in ((0, op.u0), (1, op.u1))]
+                order = list(branches[0][1])
+                order += [w for w in branches[1][1] if w not in order]
+                arr = np.stack([_align(a, lv, order) for a, lv in branches])
+                live = [control] + order
+        elif isinstance(op, Extend):
+            arr, live = self.walk(op.child, arr, live,
+                                  tuple(wmap[w] for w in op.wires), future, dag)
+        elif isinstance(op, ProjectorPhase):
+            phi = -op.phi if dag else op.phi
+            arr = arr * np.exp(-1j * phi)
+            idx = [slice(None)] * arr.ndim
+            for w in op.wires:  # a wire outside live is |0> and always marked
+                if wmap[w] in live:
+                    idx[live.index(wmap[w])] = 0
+            arr[tuple(idx)] *= np.exp(2j * phi)
+        else:
+            raise TypeError(f"unknown operator node {type(op).__name__}")
+        done = [w for w in live if w < self.ancillas and w not in future]
+        if done:
+            idx = tuple(0 if w in done else slice(None) for w in live)
+            arr = arr[idx]
+            live = [w for w in live if w not in done]
+        return arr, live
+
+
+def _apply_on_live(mat, dag, wires, arr, live):
+    """Apply mat (mat^dag if dag) on global wires; wires not yet live enter as |0>.
+
+    mat^dag x is computed as conj(mat^T conj(x)), so no conjugated copy
+    of the matrix is made.
+    """
+    k = len(wires)
+    fresh = [w not in live for w in wires]
+    if any(fresh):  # keep the input indices whose fresh wires read 0
+        cut = tuple(0 if f else slice(None) for f in fresh)
+        if dag:  # inputs of mat^dag are the rows of mat
+            mat = mat.reshape((2,) * k + (2**k,))[cut].reshape(-1, 2**k)
+        else:
+            mat = mat.reshape((2**k,) + (2,) * k)[(slice(None),) + cut]
+            mat = mat.reshape(2**k, -1)
+    if dag:
+        mat = mat.T
+    pos = [live.index(w) for w, f in zip(wires, fresh) if not f]
+    moved = np.moveaxis(arr, pos, range(len(pos)))
+    flat = moved.reshape(2 ** len(pos), -1)
+    out = np.conj(mat @ np.conj(flat)) if dag else mat @ flat
+    live = list(wires) + [w for w in live if w not in wires]
+    return out.reshape((2,) * k + moved.shape[len(pos):]), live
+
+
+def _align(arr, live, order):
+    """Pad arr with |0> axes for the wires of order it lacks, then permute."""
+    missing = [w for w in order if w not in live]
+    if missing:
+        padded = np.zeros((2,) * len(missing) + arr.shape, dtype=arr.dtype)
+        padded[(0,) * len(missing)] = arr
+        arr, live = padded, missing + list(live)
+    return arr.transpose([live.index(w) for w in order] + [len(order)])
+
+
+def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
+    """Columns of the ancilla-zero block: <0^a, i| U |0^a, j> for every i.
+
+    Returns an array of shape (2**(n - ancillas), len(cols)), equal to
+    materialize_block(op, range(2**(n - ancillas)), cols). The tree is
+    walked with a state over live wires only: the system register, plus
+    each ancilla wire from the first node that touches it until after
+    the last one, where it is projected onto |0>. Exact: a projection
+    commutes with every later node, which acts as identity on that wire.
+    """
+    n = op.nqubits
+    s = n - ancillas
+    if not 0 <= ancillas <= n:
+        raise DimensionError(f"{ancillas} ancillas on a {n}-qubit operator")
+    cols = list(cols)
+    if cols and (min(cols) < 0 or max(cols) >= 2**s):
+        raise DimensionError("column index out of range")
+    arr = np.zeros((2**s, len(cols)), dtype=complex)
+    arr[cols, range(len(cols))] = 1.0
+    system = list(range(ancillas, n))
+    arr, live = _AncillaZeroWalk(ancillas).walk(
+        op, arr.reshape((2,) * s + (len(cols),)), system, tuple(range(n)),
+        frozenset(), False)
+    return _align(arr, live, system).reshape(2**s, len(cols))
 
 
 def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperator:

@@ -24,3 +24,38 @@ def rand_spd(rng: np.random.Generator, n: int, lo: float = 0.5,
     eigs = rng.uniform(lo, hi, size=n)
     basis = rand_orthogonal(rng, n)
     return basis @ np.diag(eigs) @ basis.T
+
+
+def _psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v / np.sqrt(w)) @ v.T
+
+
+def model_with_innovation(rng: np.random.Generator, spectrum, steps: int):
+    """Random n-state model whose first innovation covariance has `spectrum`.
+
+    S = H M H^T + R has the given eigenvalues (times a random scale) in a
+    random basis. The prior M = A P0 A^T + Q fills 30-70 % of S and
+    A P0 A^T fills 30-70 % of M, so R and Q stay positive definite.
+    Returns (A, B, H, Q, R, x0, P0, controls, measurements), one control.
+    """
+    n = len(spectrum)
+    rot = rand_orthogonal(rng, n)
+    S = rot @ np.diag(spectrum) @ rot.T * rng.uniform(0.5, 2.0)
+    H = rand_orthogonal(rng, n) * rng.uniform(0.7, 1.4, size=n)
+    g = rng.standard_normal((n, n))
+    M = g @ g.T + 0.2 * np.eye(n)
+    s_half = _psd_inv_sqrt(S)
+    M *= rng.uniform(0.3, 0.7) / np.linalg.eigvalsh(s_half @ H @ M @ H.T @ s_half)[-1]
+    R = S - H @ M @ H.T
+    g = rng.standard_normal((n, n))
+    P0 = g @ g.T + 0.2 * np.eye(n)
+    A = rng.standard_normal((n, n))
+    m_half = _psd_inv_sqrt(M)
+    A *= np.sqrt(rng.uniform(0.3, 0.7)
+                 / np.linalg.eigvalsh(m_half @ A @ P0 @ A.T @ m_half)[-1])
+    Q = M - A @ P0 @ A.T
+    B = rng.standard_normal((n, 1))
+    x0 = rng.standard_normal(n)
+    return (A, B, H, 0.5 * (Q + Q.T), 0.5 * (R + R.T), x0, P0,
+            rng.standard_normal((steps, 1)), rng.standard_normal((steps, n)))

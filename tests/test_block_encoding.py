@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import philox, rand_with_sigma
+from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import (
     BlockEncoding,
     decode,
@@ -16,7 +20,14 @@ from qkalman.errors import (
     DimensionError,
     SigmaRangeError,
 )
-from qkalman.tensor_ops import identity_op, unitarity_residual
+from qkalman.inversion import be_invert
+from qkalman.tensor_ops import (
+    ancilla_block,
+    compact_operator,
+    identity_op,
+    materialize_block,
+    unitarity_residual,
+)
 
 
 def test_pad_to_square_embeds_top_left():
@@ -130,3 +141,66 @@ def test_validate_reports_deviation():
     assert ok.ok and ok.deviation < 1e-10
     bad = validate(be, m + 0.5)
     assert not bad.ok and bad.deviation > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the ancilla-zero evaluator on encoding arithmetic
+# ---------------------------------------------------------------------------
+
+MAX_ANCILLAS = 12  # keeps the full-register reference at <= 14 qubits
+
+
+@lru_cache(maxsize=None)
+def inverse_leaf(s):
+    """be_invert of a fixed well-conditioned matrix, built once per s."""
+    m = rand_with_sigma(philox(300 + s), np.linspace(1.0, 0.6, 2**s))
+    be = encode_data_structure(m)
+    kappa = 1.1 * be.alpha / 0.6
+    return be_invert(be, kappa, 0.01)
+
+
+def draw_encoding(data, s, depth):
+    """Random composition of add, multiply, adjoint, negate and invert."""
+    ops = ["add", "multiply", "adjoint", "negate"] if depth else ["leaf"]
+    op = data.draw(st.sampled_from(ops))
+    if op == "leaf":
+        if data.draw(st.booleans()):
+            return inverse_leaf(s)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        return encode_data_structure(philox(seed).standard_normal((2**s, 2**s)))
+    if op == "adjoint":
+        return be_adjoint(draw_encoding(data, s, depth - 1))
+    if op == "negate":
+        return be_negate(draw_encoding(data, s, depth - 1))
+    left = draw_encoding(data, s, depth - 1)
+    right = draw_encoding(data, s, depth - 1)
+    out = (be_add if op == "add" else be_multiply)(left, right)
+    return out if out.ancillas <= MAX_ANCILLAS else left
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from([1, 2]), depth=st.integers(0, 3),
+       threshold=st.sampled_from([None, 2, 4, 6]), data=st.data())
+def test_ancilla_block_matches_full_register_on_compositions(s, depth, threshold,
+                                                             data):
+    be = draw_encoding(data, s, depth)
+    cols = data.draw(st.lists(st.integers(0, 2**s - 1), min_size=1,
+                              max_size=2**s, unique=True))
+    rows = range(2**s)
+    want = materialize_block(be.op, rows, cols)
+    op = be.op if threshold is None else compact_operator(be.op, threshold)
+    np.testing.assert_allclose(ancilla_block(op, be.ancillas, cols), want,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("stage", ["x_minus", "p_minus", "k_be", "x_hat_be",
+                                   "p_hat_be"])
+def test_ancilla_block_matches_full_register_on_filter_stages(worked, stage):
+    be = getattr(worked, stage)
+    idx = range(2**be.system_qubits)
+    np.testing.assert_allclose(ancilla_block(be.op, be.ancillas, idx),
+                               materialize_block(be.op, idx, idx), atol=1e-12)
+    rows, cols = be.shape
+    np.testing.assert_allclose(
+        decode(be), be.alpha * materialize_block(be.op, range(rows), range(cols)),
+        atol=1e-12 * be.alpha)

@@ -149,6 +149,13 @@ def test_run_command_writes_csvs(tmp_path, capsys):
     np.testing.assert_allclose(step["x_hat_q"], step["x_hat_c"], atol=0.2)
 
 
+def test_histogram_csv_lists_targets_then_rest():
+    report = {"sampling": {"1": {"x_hat": {"counts_nonzero": {
+        "rest": 90, "1": 4, "0": 6}}}}}
+    lines = emit_csv(report, "histogram").strip().splitlines()
+    assert lines == ["basis_index,count", "0,6", "1,4", "rest,90"]
+
+
 def test_run_command_missing_config_is_a_config_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 

@@ -78,6 +78,20 @@ def test_untruncated_series_matches_smoothed_reciprocal():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa,eps", [(3.5, 1e-2), (12.0, 1e-3)])
+def test_series_max_matches_a_dense_scan(kappa, eps):
+    degree = inverse_poly(kappa, eps).degree
+    odd = inversion._odd_series_one_over_x(smoothing_order(kappa, eps))
+    odd = odd[: (degree + 1) // 2]
+    full = np.zeros(degree + 1)
+    full[1::2] = odd
+    xs = np.linspace(-1.0, 1.0, 200001)
+    i = int(np.argmax(np.abs(np.polynomial.chebyshev.chebval(xs, full))))
+    xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 200001)
+    want = np.max(np.abs(np.polynomial.chebyshev.chebval(xs, full)))
+    assert inversion._series_max(odd, degree) == pytest.approx(want, rel=1e-12)
+
+
 def test_truncation_error_decreases_with_degree():
     errs = []
     for d in (21, 41, 57):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import philox
+from helpers import model_with_innovation, philox
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import decode
 from qkalman.errors import (
@@ -373,3 +374,51 @@ def test_stage_ancillas_scale_linearly_without_decode():
     assert p_hat.ancillas == 9 * s + 4
     assert x_hat.op.nqubits == 8 * s + 5 + s
     assert math.isfinite(x_hat.alpha)
+
+
+def test_exact_filter_at_eight_states():
+    # s = 3: the update encodings sit on 29 + 3 = 32 and 31 + 3 = 34 qubits,
+    # read out without any full-register statevector
+    A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
+        philox(61), (2.0, 1.8, 1.6, 1.4, 1.3, 1.2, 1.1, 1.0), 2)
+    model = KalmanModel(A, B, H, Q, R)
+    traj, ledger = q_filter_run(model, FilterState(x0, P0), us, zs, 2,
+                                kappa_policy=KappaPolicy.margin(1.1))
+    assert ledger.find("alpha_P", 1).ancillas == 9 * 3 + 4
+    for k in (1, 2):
+        want = classical_step(model, traj[k - 1], us[k - 1], zs[k - 1])
+        x_err = np.max(np.abs(traj[k].x_hat - want.x_hat))
+        p_err = np.linalg.norm(traj[k].P - want.P, 2)
+        assert x_err <= ledger.find("alpha_x_hat", k).eps
+        assert p_err <= ledger.find("alpha_P", k).eps
+
+
+def test_four_state_decode_stays_small():
+    A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
+        philox(62), (3.0, 2.0, 1.5, 1.0), 1)
+    model, s = KalmanModel(A, B, H, Q, R), 2
+    ledger = NormLedger()
+    be = {name: encode_matrix(m, s, name)
+          for name, m in (("A", A), ("B", B), ("H", H), ("Q", Q), ("R", R),
+                          ("P", P0))}
+    x_minus = q_predict_state(ledger, be["A"], encode_vector(x0, s, "x"),
+                              be["B"], encode_vector(us[0], s, "u"))
+    p_minus = q_predict_cov(ledger, be["A"], be["P"], be["Q"])
+    k_be = q_gain(ledger, p_minus, be["H"], be["R"], KappaPolicy.fixed(6.0), 0.01)
+    x_hat = q_update_state(ledger, x_minus, k_be, be["H"],
+                           encode_vector(zs[0], s, "z"))
+    p_hat = q_update_cov(ledger, p_minus, k_be, be["H"])
+    assert (x_hat.op.nqubits, p_hat.op.nqubits) == (23, 24)
+
+    tracemalloc.start()
+    try:
+        x_out = decode(x_hat)
+        p_out = decode(p_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single full-register column of x_hat is 2^23 * 16 bytes = 128 MB
+    assert peak <= 32 * 2**20
+    want = classical_intermediates(model, FilterState(x0, P0), us[0], zs[0])
+    assert np.max(np.abs(x_out[:, 0] - want["x_hat"])) <= x_hat.eps
+    assert np.linalg.norm(p_out - want["P"], 2) <= p_hat.eps

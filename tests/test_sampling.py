@@ -10,7 +10,9 @@ from qkalman.sampling import (
     histogram_csv,
     pooled_report,
     sample_counts,
+    with_rest,
 )
+from qkalman.tensor_ops import ancilla_block
 
 
 def test_identity_dilation_concentrates_on_index_zero():
@@ -138,3 +140,35 @@ def test_histogram_csv_format():
     assert lines[1:] == ["0,5", "2,3"]
     total = sum(int(line.split(",")[1]) for line in lines[1:])
     assert total == report.counts.sum()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, (5, 1, 2)])
+def test_rest_bucket_draw_matches_full_register_draw(worked, seed):
+    # the x_hat column and each P column of the worked example
+    rows = 2
+    for be, col in ((worked.x_hat_be, 0), (worked.p_hat_be, 0),
+                    (worked.p_hat_be, 1)):
+        targets = ancilla_block(be.op, be.ancillas, [col])[:rows, 0]
+        rest = pooled_report(with_rest(targets), 16384, 20, seed)
+        full = pooled_report(exact_amplitudes(be, col), 16384, 20, seed)
+        np.testing.assert_array_equal(rest.counts[:rows], full.counts[:rows])
+        assert rest.counts.size == rows + 1
+        assert rest.counts[rows] == full.counts[rows:].sum()
+
+
+def test_rest_outcome_carries_the_remaining_mass():
+    amps = with_rest(np.array([0.6, -0.0 + 0.48j]))
+    assert amps.size == 3
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-15)
+    assert amps[2] == pytest.approx(np.sqrt(1 - 0.36 - 0.2304))
+
+
+def test_rest_outcome_clamps_at_zero():
+    # rounding pushes the target mass a hair above 1
+    targets = np.array([0.6, 0.8 + 1e-12])
+    assert np.sum(targets**2) > 1.0
+    amps = with_rest(targets)
+    assert amps[2] == 0.0
+    report = pooled_report(amps, 1000, 3, 9)
+    assert report.counts[2] == 0
+    assert report.counts.sum() == 3000

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import philox, rand_orthogonal
 from qkalman.errors import DimensionError, NumericalFailureError
@@ -11,6 +12,7 @@ from qkalman.tensor_ops import (
     ProjectorPhase,
     Select,
     adjoint,
+    ancilla_block,
     apply,
     basis_state,
     compact_operator,
@@ -194,3 +196,65 @@ def test_op_stats_counts_nodes():
     assert stats["product"] == 1
     assert stats["adjoint"] == 1
     assert stats["extend"] == 2
+
+
+# ---------------------------------------------------------------------------
+# ancilla-zero block
+# ---------------------------------------------------------------------------
+
+def rand_tree(rng, n, depth):
+    """Random operator tree on n qubits using every node type."""
+    kinds = ["dense", "extend", "phase"]
+    if depth > 0:
+        kinds += ["product", "adjoint", "extend"] + (["select"] if n > 0 else [])
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "dense":
+        return rand_unitary_op(rng, n)
+    if kind == "phase":
+        wires = rng.permutation(n)[: int(rng.integers(n + 1))]
+        return ProjectorPhase(float(rng.uniform(-np.pi, np.pi)), n, tuple(wires))
+    if kind == "product":
+        return Product(tuple(rand_tree(rng, n, depth - 1)
+                             for _ in range(int(rng.integers(2, 4)))))
+    if kind == "adjoint":
+        return Adjoint(rand_tree(rng, n, depth - 1))
+    if kind == "select":
+        return Select(rand_tree(rng, n - 1, depth - 1),
+                      rand_tree(rng, n - 1, depth - 1))
+    k = int(rng.integers(n + 1))
+    return Extend(rand_tree(rng, k, max(depth - 1, 0)), n,
+                  tuple(rng.permutation(n)[:k]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), depth=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_ancilla_block_matches_materialize_block(n, depth, seed):
+    op = rand_tree(philox(seed), n, depth)
+    for ancillas in range(n + 1):
+        idx = range(2 ** (n - ancillas))
+        np.testing.assert_allclose(ancilla_block(op, ancillas, idx),
+                                   materialize_block(op, idx, idx), atol=1e-12)
+
+
+def test_ancilla_block_select_on_untouched_control_is_u0():
+    rng = philox(11)
+    u0, u1 = rand_unitary_op(rng, 2), rand_unitary_op(rng, 2)
+    got = ancilla_block(Select(u0, u1), 1, [3, 0])
+    np.testing.assert_allclose(got, u0.matrix[:, [3, 0]], atol=1e-15)
+
+
+def test_ancilla_block_projects_flipped_ancilla_to_zero():
+    flip = Dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    op = Product((Extend(rand_unitary_op(philox(12), 1), 2, (1,)),
+                  Extend(flip, 2, (0,))))
+    np.testing.assert_allclose(ancilla_block(op, 1, [0, 1]), 0.0, atol=0)
+
+
+def test_ancilla_block_validates_arguments():
+    op = identity_op(3)
+    with pytest.raises(DimensionError):
+        ancilla_block(op, 1, [4])
+    with pytest.raises(DimensionError):
+        ancilla_block(op, 4, [0])
+    assert ancilla_block(op, 3, [0]).shape == (1, 1)
