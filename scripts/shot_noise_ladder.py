@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Shot-noise scaling demo: RMS readout error across a shot ladder.
 
-Runs the bundled example once, then samples its final-state encoding at
-increasing total shot counts and prints RMS error times sqrt(shots),
-which should sit in a narrow band if the error scales as 1/sqrt(shots).
+Runs the first step of the bundled example with exact readout for the
+reference estimate, then repeats it with sampled readout at increasing
+total shot counts and prints RMS error of x_hat times sqrt(shots), which
+should sit in a narrow band if the error scales as 1/sqrt(shots).
 """
 
 import pathlib
@@ -14,46 +15,32 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qkalman.cli import parse_config  # noqa: E402
-from qkalman.kalman import q_filter_run, q_predict_cov, q_predict_state  # noqa: E402
-from qkalman import kalman as qk  # noqa: E402
-from qkalman.sampling import estimate_entries, exact_amplitudes, pooled_report  # noqa: E402
+from qkalman.kalman import q_filter_run  # noqa: E402
+
+SHOTS = 16384
+REPEATS = 8
 
 
 def main() -> int:
     config_path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "worked_example.yaml"
     config = parse_config(config_path.read_text())
-    model, init = config.model, config.init
 
-    ledger = qk.NormLedger()
-    s = 1
-    be_a = qk.encode_matrix(model.A, s, "A")
-    be_b = qk.encode_matrix(model.B, s, "B")
-    be_h = qk.encode_matrix(model.H, s, "H")
-    be_q = qk.encode_matrix(model.Q, s, "Q")
-    be_r = qk.encode_matrix(model.R, s, "R")
-    be_x = qk.encode_vector(init.x_hat, s, "x0")
-    be_p = qk.encode_matrix(init.P, s, "P0")
-    be_u = qk.encode_vector(config.controls[0], s, "u")
-    be_z = qk.encode_vector(config.measurements[0], s, "z")
+    def final_x_hat(readout_mode, **sampling):
+        trajectory, _ = q_filter_run(
+            config.model, config.init, config.controls, config.measurements, 1,
+            readout_mode, kappa_policy=config.kappa_policy,
+            eps_prime=config.eps_prime, degree_cap=config.degree_cap, **sampling)
+        return trajectory[-1].x_hat
 
-    x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u, step=1)
-    p_minus = q_predict_cov(ledger, be_a, be_p, be_q, step=1)
-    k_be = qk.q_gain(ledger, p_minus, be_h, be_r, config.kappa_policy,
-                     config.eps_prime, step=1)
-    x_hat_be = qk.q_update_state(ledger, x_minus, k_be, be_h, be_z, step=1)
-
-    amps = exact_amplitudes(x_hat_be, 0)
-    exact = x_hat_be.alpha * np.abs(amps[:2])
-    print(f"exact |entries|: {np.array2string(exact, precision=6)}")
+    exact = final_x_hat("exact")
+    print(f"exact x_hat: {np.array2string(exact, precision=6)}")
     print(f"{'total shots':>12}  {'RMS error':>10}  {'RMS x sqrt(shots)':>18}")
     for iterations in (1, 10, 100, 1000):
-        errs = []
-        for rep in range(8):
-            report = pooled_report(amps, 16384, iterations, (11, iterations, rep))
-            ests = estimate_entries(report, x_hat_be.alpha, range(2))
-            errs.append(np.array([e.magnitude for e in ests]) - exact)
+        errs = [final_x_hat("sampled", shots=SHOTS, iterations=iterations,
+                            seed=1000 * iterations + rep) - exact
+                for rep in range(REPEATS)]
         rms = float(np.sqrt(np.mean(np.square(errs))))
-        total = 16384 * iterations
+        total = SHOTS * iterations
         print(f"{total:>12}  {rms:>10.5f}  {rms * np.sqrt(total):>18.3f}")
     return 0
 

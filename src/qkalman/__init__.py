@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .tensor_ops import (  # noqa: F401
     DENSE_THRESHOLD,
-    Adjoint,
     Dense,
     Extend,
     Product,
@@ -77,7 +76,6 @@ from .sampling import (  # noqa: F401
     SampleReport,
     estimate_entries,
     exact_amplitudes,
-    histogram_csv,
     pooled_report,
     sample_counts,
     with_rest,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .block_encoding import BlockEncoding
 from .errors import DimensionError
-from .tensor_ops import Adjoint, Dense, Extend, Product, ProjectorPhase, Select
+from .tensor_ops import Dense, Extend, Product, ProjectorPhase, Select, adjoint
 
 
 def _require_same_system(be_a: BlockEncoding, be_b: BlockEncoding):
@@ -90,9 +90,13 @@ def be_multiply(be_a: BlockEncoding, be_b: BlockEncoding, label: str = "") -> Bl
 
 
 def be_adjoint(be_a: BlockEncoding, label: str = "") -> BlockEncoding:
-    """Encode A^dag (the transpose for real A) with unchanged bookkeeping."""
+    """Encode A^dag (the transpose for real A) with unchanged bookkeeping.
+
+    The operator is the `adjoint` tree of be_a.op, which copies each
+    dense leaf conjugate-transposed.
+    """
     shape = None if be_a.shape is None else (be_a.shape[1], be_a.shape[0])
-    return replace(be_a, op=Adjoint(be_a.op), label=label or be_a.label,
+    return replace(be_a, op=adjoint(be_a.op), label=label or be_a.label,
                    shape=shape)
 
 

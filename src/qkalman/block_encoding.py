@@ -28,12 +28,12 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, SigmaRangeError
 from .tensor_ops import (
-    Adjoint,
     Dense,
     Extend,
     Product,
     QOperator,
     Select,
+    adjoint,
     ancilla_block,
     as_matrix,
     frobenius_norm,
@@ -95,9 +95,10 @@ def _complete_columns(cols: np.ndarray) -> np.ndarray:
 def encode_data_structure(m, label: str = "", shape: tuple | None = None) -> BlockEncoding:
     """Block-encode a square matrix with alpha = ||M||_F and a = s ancillas.
 
-    The operator is Product((Adjoint(U_L), U_R)) on 2s qubits, both
-    factors dense unitaries built from normalized column preparations
-    and completed by QR. Exact in simulation (eps = 0).
+    The operator is Product((U_L^dag, U_R)) on 2s qubits: two dense
+    unitaries built from normalized column preparations and completed by
+    QR, U_L^dag stored as its conjugate transpose (`adjoint`). Exact in
+    simulation (eps = 0).
     """
     m = as_matrix(m)
     dim = m.shape[0]
@@ -127,7 +128,7 @@ def encode_data_structure(m, label: str = "", shape: tuple | None = None) -> Blo
     ul_cols = np.kron(weights.reshape(-1, 1), np.eye(dim, dtype=complex))
     u_l = Dense(_complete_columns(ul_cols))
 
-    op = Product((Adjoint(u_l), u_r))
+    op = Product((adjoint(u_l), u_r))
     return BlockEncoding(op, alpha, s, s, 0.0, label, shape)
 
 

@@ -4,7 +4,7 @@ Configs are YAML with row-major numeric arrays. A run report is one JSON
 document on stdout carrying both trajectories (quantum and classical),
 the normalization ledger, inversion metadata, operation counts, and
 sampling statistics in sampled mode. Every error category exits with its
-own documented code (see EXIT_CODES).
+own documented code, the `exit_code` of its QkError subclass.
 """
 
 from __future__ import annotations
@@ -20,19 +20,7 @@ import numpy as np
 import yaml
 
 from .block_encoding import decode, encode_data_structure, pad_to_square
-from .errors import (
-    ApproximationError,
-    ConfigError,
-    DegenerateInputError,
-    DimensionError,
-    MeasurementBudgetError,
-    NumericalFailureError,
-    ParityError,
-    QkError,
-    SigmaRangeError,
-    SingularityError,
-    SolverError,
-)
+from .errors import ConfigError, DimensionError, QkError
 from .inversion import (
     be_invert,
     format_angles,
@@ -47,21 +35,6 @@ from .kalman import (
     q_filter_run,
 )
 from .tensor_ops import op_stats
-
-EXIT_CODES = {
-    "ok": 0,
-    "unexpected": 1,
-    ConfigError: 2,
-    DimensionError: 3,
-    DegenerateInputError: 4,
-    SingularityError: 5,
-    SigmaRangeError: 6,
-    SolverError: 7,
-    ApproximationError: 8,
-    NumericalFailureError: 9,
-    MeasurementBudgetError: 10,
-    ParityError: 11,
-}
 
 _MATRIX_KEYS = ("A", "B", "H", "Q", "R", "P0")
 _REQUIRED_KEYS = ("A", "B", "H", "Q", "R", "x0", "P0",

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Every error category carries one stable exit code so the CLI can map
-failures to documented process exit statuses (see cli.EXIT_CODES).
+Every error category carries one stable exit code, its class attribute
+`QkError.exit_code`; the CLI exits with it (0 is success, 1 an
+unexpected failure).
 """
 
 

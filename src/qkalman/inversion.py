@@ -43,9 +43,8 @@ exp(i*phi*(2P - I)) on the input encoding's ancilla wires alternate with
 U and U^dag (d applications, d+1 phases). W_x phases convert by
 subtracting pi/4 at the ends and pi/2 in the interior, with a global
 phase i^d. The response's imaginary part is removed by averaging the
-Phi and -Phi circuits behind one Hadamard-combined ancilla; the ancilla
-is budgeted (as an idle wire) even when the single circuit is already
-real, so a_out = a_in + 1 always.
+Phi and -Phi circuits behind one Hadamard-combined ancilla, so
+a_out = a_in + 1.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ from .errors import (
     SolverError,
 )
 from .tensor_ops import (
-    Adjoint,
     Dense,
     Extend,
     Product,
     ProjectorPhase,
     Select,
+    adjoint,
     svd,
 )
 
@@ -115,18 +114,24 @@ class ChebPoly:
         return full
 
 
+def _clenshaw_odd(odd_coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Clenshaw evaluation of sum_j odd_coeffs[j] T_{2j+1}(x); no domain check."""
+    c = np.zeros(2 * len(odd_coeffs))
+    c[1::2] = odd_coeffs
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for ck in c[:0:-1]:
+        b1, b2 = 2 * x * b1 - b2 + ck, b1
+    return x * b1 - b2 + c[0]
+
+
 def eval_cheb(poly: ChebPoly, x):
     """Clenshaw evaluation of sum c_k T_k(x) for |x| <= 1."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1 + 1e-12):
         bad = float(arr.flat[int(np.argmax(np.abs(arr)))])
         raise SigmaRangeError(bad, -1.0, 1.0)
-    c = poly.full_coeffs
-    b1 = np.zeros_like(arr)
-    b2 = np.zeros_like(arr)
-    for ck in c[:0:-1]:
-        b1, b2 = 2 * arr * b1 - b2 + ck, b1
-    out = arr * b1 - b2 + c[0]
+    out = _clenshaw_odd(poly.odd_coeffs, arr)
     return out if out.shape else float(out)
 
 
@@ -144,22 +149,16 @@ def _odd_series_one_over_x(b: int) -> np.ndarray:
     return coeffs
 
 
-def _probe(odd_coeffs: np.ndarray, degree: int) -> ChebPoly:
-    """Throwaway ChebPoly wrapper for evaluating a raw coefficient vector."""
-    return ChebPoly(odd_coeffs, degree, kappa=2.0, scale=1.0, eps_prime=0.0)
-
-
-def _series_max(odd_coeffs: np.ndarray, degree: int) -> float:
+def _series_max(odd_coeffs: np.ndarray) -> float:
     """max |series| over [-1, 1], grid scan plus a local refinement.
 
     The refinement re-scans the bracket around the best grid point with
     65 points, each pass narrowing it 32-fold, until it is 1e-13 wide.
     """
-    probe = _probe(odd_coeffs, degree)
     xs = np.linspace(-1.0, 1.0, 20001)
     peak = 0.0
     while True:
-        vals = np.abs(eval_cheb(probe, xs))
+        vals = np.abs(_clenshaw_odd(odd_coeffs, xs))
         i = int(np.argmax(vals))
         peak = max(peak, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
@@ -168,12 +167,11 @@ def _series_max(odd_coeffs: np.ndarray, degree: int) -> float:
         xs = np.linspace(lo, hi, 65)
 
 
-def _measured_error(odd_coeffs: np.ndarray, degree: int, kappa: float,
+def _measured_error(odd_coeffs: np.ndarray, kappa: float,
                     points: int = 20001) -> float:
     """sup over [1/kappa, 1] of |series(x) - 1/x| (unscaled)."""
-    probe = _probe(odd_coeffs, degree)
     xs = np.linspace(1.0 / kappa, 1.0, points)
-    return float(np.max(np.abs(eval_cheb(probe, xs) - 1.0 / xs)))
+    return float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs) - 1.0 / xs)))
 
 
 def smoothing_order(kappa: float, eps_prime: float) -> int:
@@ -190,8 +188,8 @@ def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebP
     keep = min((degree + 1) // 2, b)
     odd = series[:keep].copy()
     d = 2 * keep - 1
-    scale = _series_max(odd, d) / (1.0 - _MARGIN)
-    err = _measured_error(odd, d, kappa)
+    scale = _series_max(odd) / (1.0 - _MARGIN)
+    err = _measured_error(odd, kappa)
     return ChebPoly(odd / scale, d, kappa, scale, err / scale)
 
 
@@ -216,7 +214,7 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
     series = _odd_series_one_over_x(b)
     while True:
         odd = series[: (d + 1) // 2].copy()
-        err = _measured_error(odd, d, kappa)
+        err = _measured_error(odd, kappa)
         if err <= eps_prime:
             break
         d += 2
@@ -225,7 +223,7 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
                 f"tolerance {eps_prime} unattained at degree cap "
                 f"{degree_cap} (err {err:.3g})"
             )
-    scale = _series_max(odd, d) / (1.0 - _MARGIN)
+    scale = _series_max(odd) / (1.0 - _MARGIN)
     return ChebPoly(odd / scale, d, kappa, scale, err / scale)
 
 
@@ -451,14 +449,18 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
 # ---------------------------------------------------------------------------
 
 def _qsvt_circuit(be: BlockEncoding, refl_angles: np.ndarray):
-    """Product tree: global i^d, then alternating projector phases and U/U^dag."""
+    """Product tree: global i^d, then alternating projector phases and U/U^dag.
+
+    U^dag is one `adjoint` tree, shared by every position that applies it.
+    """
     n = be.op.nqubits
     anc = tuple(range(be.ancillas))
     d = refl_angles.size - 1
+    u_dag = adjoint(be.op)
     children = [ProjectorPhase((d % 4) * np.pi / 2, n, ())]  # global i^d
     children.append(ProjectorPhase(refl_angles[0], n, anc))
     for k in range(1, d + 1):
-        children.append(be.op if k % 2 == 1 else Adjoint(be.op))
+        children.append(be.op if k % 2 == 1 else u_dag)
         children.append(ProjectorPhase(refl_angles[k], n, anc))
     return Product(tuple(children))
 
@@ -483,22 +485,15 @@ def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
     if phi.convention != "wx":
         raise DimensionError("qsvt_apply expects W_x phases")
     n = be_a.op.nqubits
-
-    check_nodes = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (2 * d))
-    imag_peak = float(np.max(np.abs(
-        _response_batch(phi.angles, check_nodes, "wx").imag)))
     plus = _qsvt_circuit(be_a, to_reflection(phi).angles)
-    if imag_peak <= 1e-8:
-        op = Extend(plus, n + 1, tuple(range(1, n + 1)))
-    else:
-        minus = _qsvt_circuit(
-            be_a, to_reflection(PhaseFactors(-phi.angles, "wx")).angles)
-        h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-        op = Product((
-            Extend(h, n + 1, (0,)),
-            Select(plus, minus),
-            Extend(h, n + 1, (0,)),
-        ))
+    minus = _qsvt_circuit(
+        be_a, to_reflection(PhaseFactors(-phi.angles, "wx")).angles)
+    h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    op = Product((
+        Extend(h, n + 1, (0,)),
+        Select(plus, minus),
+        Extend(h, n + 1, (0,)),
+    ))
     return BlockEncoding(op, 1.0, be_a.ancillas + 1, be_a.system_qubits,
                          0.0, be_a.label, be_a.shape)
 

@@ -124,11 +124,3 @@ def estimate_entries(report: SampleReport, alpha: float, targets,
         out.append(EntryEstimate(t, sign * mag, mag, float(se), bool(zero),
                                  sign_known))
     return out
-
-
-def histogram_csv(report: SampleReport) -> str:
-    """basis_index,count rows (nonzero counts only), headered."""
-    lines = ["basis_index,count"]
-    for idx in np.flatnonzero(report.counts):
-        lines.append(f"{idx},{report.counts[idx]}")
-    return "\n".join(lines) + "\n"

@@ -20,6 +20,8 @@ Conventions used throughout the package:
   wire list, identity elsewhere. ``ProjectorPhase(phi, wires)`` is
   exp(i*phi*(2P - I)) where P projects onto |0...0> of the named wires;
   with an empty wire set it degenerates to the global phase exp(i*phi).
+  These five are the only nodes: ``adjoint`` returns U^dag as a new
+  tree (reversed products, conjugate-transposed leaves, negated phases).
 
 Statevector application is vectorized over a trailing batch axis, which
 is also how dense blocks and small materializations are computed (apply
@@ -128,15 +130,6 @@ class Product(QOperator):
 
 
 @dataclass(frozen=True, eq=False)
-class Adjoint(QOperator):
-    child: QOperator
-
-    @property
-    def nqubits(self):
-        return self.child.nqubits
-
-
-@dataclass(frozen=True, eq=False)
 class Select(QOperator):
     """|0><0| (x) u0 + |1><1| (x) u1, control on wire 0 (most significant)."""
 
@@ -204,13 +197,11 @@ def identity_op(nqubits: int) -> QOperator:
 
 
 def adjoint(op: QOperator) -> QOperator:
-    """Rewrite the tree so the adjoint is pushed down to the leaves."""
+    """The adjoint as a new tree: reversed products, conjugated leaves, negated phases."""
     if isinstance(op, Dense):
         return Dense(op.matrix.conj().T)
     if isinstance(op, Product):
         return Product(tuple(adjoint(c) for c in reversed(op.children)))
-    if isinstance(op, Adjoint):
-        return op.child
     if isinstance(op, Select):
         return Select(adjoint(op.u0), adjoint(op.u1))
     if isinstance(op, Extend):
@@ -232,8 +223,6 @@ def _apply_batch(op: QOperator, arr: np.ndarray) -> np.ndarray:
         for child in reversed(op.children):
             arr = _apply_batch(child, arr)
         return arr
-    if isinstance(op, Adjoint):
-        return _apply_batch(adjoint(op.child), arr)
     if isinstance(op, Select):
         half = arr.shape[0] // 2
         out = np.empty_like(arr)
@@ -329,8 +318,6 @@ class _AncillaZeroWalk:
             hit = frozenset(range(op.nqubits))
         elif isinstance(op, Product):
             hit = frozenset().union(*(self.support(c) for c in op.children))
-        elif isinstance(op, Adjoint):
-            hit = self.support(op.child)
         elif isinstance(op, Select):
             inner = self.support(op.u0) | self.support(op.u1)
             hit = frozenset({0}) | frozenset(w + 1 for w in inner)
@@ -343,28 +330,25 @@ class _AncillaZeroWalk:
         self._support[id(op)] = hit
         return hit
 
-    def walk(self, op, arr, live, wmap, future, dag):
-        """Apply op (its adjoint if dag) to the live state, then project."""
+    def walk(self, op, arr, live, wmap, future):
+        """Apply op to the live state, then project."""
         if isinstance(op, Dense):
-            arr, live = _apply_on_live(op.matrix, dag, wmap, arr, live)
-        elif isinstance(op, Adjoint):
-            arr, live = self.walk(op.child, arr, live, wmap, future, not dag)
+            arr, live = _apply_on_live(op.matrix, wmap, arr, live)
         elif isinstance(op, Product):
-            kids = op.children if dag else op.children[::-1]  # application order
+            kids = op.children[::-1]  # application order
             after = [future] * len(kids)
             for i in range(len(kids) - 1, 0, -1):
                 after[i - 1] = after[i] | {wmap[w] for w in self.support(kids[i])}
             for kid, fut in zip(kids, after):
-                arr, live = self.walk(kid, arr, live, wmap, fut, dag)
+                arr, live = self.walk(kid, arr, live, wmap, fut)
         elif isinstance(op, Select):
             control, sub = wmap[0], wmap[1:]
             if control not in live:  # control is |0>: only u0 acts
-                arr, live = self.walk(op.u0, arr, live, sub, future, dag)
+                arr, live = self.walk(op.u0, arr, live, sub, future)
             else:
                 pos = live.index(control)
                 rest = live[:pos] + live[pos + 1:]
-                branches = [self.walk(u, np.take(arr, bit, axis=pos), rest, sub,
-                                      future, dag)
+                branches = [self.walk(u, np.take(arr, bit, axis=pos), rest, sub, future)
                             for bit, u in ((0, op.u0), (1, op.u1))]
                 order = list(branches[0][1])
                 order += [w for w in branches[1][1] if w not in order]
@@ -372,15 +356,14 @@ class _AncillaZeroWalk:
                 live = [control] + order
         elif isinstance(op, Extend):
             arr, live = self.walk(op.child, arr, live,
-                                  tuple(wmap[w] for w in op.wires), future, dag)
+                                  tuple(wmap[w] for w in op.wires), future)
         elif isinstance(op, ProjectorPhase):
-            phi = -op.phi if dag else op.phi
-            arr = arr * np.exp(-1j * phi)
+            arr = arr * np.exp(-1j * op.phi)
             idx = [slice(None)] * arr.ndim
             for w in op.wires:  # a wire outside live is |0> and always marked
                 if wmap[w] in live:
                     idx[live.index(wmap[w])] = 0
-            arr[tuple(idx)] *= np.exp(2j * phi)
+            arr[tuple(idx)] *= np.exp(2j * op.phi)
         else:
             raise TypeError(f"unknown operator node {type(op).__name__}")
         done = [w for w in live if w < self.ancillas and w not in future]
@@ -391,27 +374,18 @@ class _AncillaZeroWalk:
         return arr, live
 
 
-def _apply_on_live(mat, dag, wires, arr, live):
-    """Apply mat (mat^dag if dag) on global wires; wires not yet live enter as |0>.
-
-    mat^dag x is computed as conj(mat^T conj(x)), so no conjugated copy
-    of the matrix is made.
-    """
+def _apply_on_live(mat, wires, arr, live):
+    """Apply mat on global wires; wires not yet live enter as |0>."""
     k = len(wires)
     fresh = [w not in live for w in wires]
     if any(fresh):  # keep the input indices whose fresh wires read 0
         cut = tuple(0 if f else slice(None) for f in fresh)
-        if dag:  # inputs of mat^dag are the rows of mat
-            mat = mat.reshape((2,) * k + (2**k,))[cut].reshape(-1, 2**k)
-        else:
-            mat = mat.reshape((2**k,) + (2,) * k)[(slice(None),) + cut]
-            mat = mat.reshape(2**k, -1)
-    if dag:
-        mat = mat.T
+        mat = mat.reshape((2**k,) + (2,) * k)[(slice(None),) + cut]
+        mat = mat.reshape(2**k, -1)
     pos = [live.index(w) for w, f in zip(wires, fresh) if not f]
     moved = np.moveaxis(arr, pos, range(len(pos)))
     flat = moved.reshape(2 ** len(pos), -1)
-    out = np.conj(mat @ np.conj(flat)) if dag else mat @ flat
+    out = mat @ flat
     live = list(wires) + [w for w in live if w not in wires]
     return out.reshape((2,) * k + moved.shape[len(pos):]), live
 
@@ -448,7 +422,7 @@ def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
     system = list(range(ancillas, n))
     arr, live = _AncillaZeroWalk(ancillas).walk(
         op, arr.reshape((2,) * s + (len(cols),)), system, tuple(range(n)),
-        frozenset(), False)
+        frozenset())
     return _align(arr, live, system).reshape(2**s, len(cols))
 
 
@@ -457,10 +431,8 @@ def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperat
 
     Semantically a no-op (same unitary); collapses long Product chains
     that act on few qubits, which is what makes the 14-qubit filter step
-    cheap. Adjoint nodes are rewritten away on the way down.
+    cheap.
     """
-    if isinstance(op, Adjoint):
-        return compact_operator(adjoint(op.child), threshold)
     if op.nqubits <= threshold:
         if isinstance(op, Dense):
             return op
@@ -497,21 +469,19 @@ def unitarity_residual(op: QOperator, nstates: int = 16, seed: int = 0) -> float
 def op_stats(op: QOperator) -> dict:
     """Operation counts used by the per-run report: depth and node tallies."""
     counts = {"dense": 0, "product": 0, "select": 0, "extend": 0,
-              "projector_phase": 0, "adjoint": 0}
+              "projector_phase": 0}
 
     def walk(node):
         kind = type(node).__name__.lower()
         key = {"dense": "dense", "product": "product", "select": "select",
-               "extend": "extend", "projectorphase": "projector_phase",
-               "adjoint": "adjoint"}[kind]
+               "extend": "extend", "projectorphase": "projector_phase"}[kind]
         counts[key] += 1
         if isinstance(node, Product):
             return 1 + max(walk(c) for c in node.children)
         if isinstance(node, Select):
             return 1 + max(walk(node.u0), walk(node.u1))
-        if isinstance(node, (Adjoint, Extend)):
-            child = node.child
-            return 1 + walk(child)
+        if isinstance(node, Extend):
+            return 1 + walk(node.child)
         return 1
 
     depth = walk(op)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from qkalman import cli, errors
 from qkalman.cli import (
     RunConfig,
     emit_config,
@@ -158,6 +159,35 @@ def test_histogram_csv_lists_targets_then_rest():
 
 def test_run_command_missing_config_is_a_config_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+
+
+# the README's exit-code table
+README_EXIT_CODES = {
+    "ConfigError": 2,
+    "DimensionError": 3,
+    "DegenerateInputError": 4,
+    "SingularityError": 5,
+    "SigmaRangeError": 6,
+    "SolverError": 7,
+    "ApproximationError": 8,
+    "NumericalFailureError": 9,
+    "MeasurementBudgetError": 10,
+    "ParityError": 11,
+}
+
+
+@pytest.mark.parametrize("cls", errors.QkError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_each_error_exits_with_its_readme_code(cls, monkeypatch, capsys):
+    exc = cls(2.0, 0.0, 1.0) if cls is errors.SigmaRangeError else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_angles", fail)
+    assert main(["angles", "--kappa", "2", "--eps", "0.1"]) == \
+        README_EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_command_singular_model_exit_code(tmp_path):

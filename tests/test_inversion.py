@@ -89,7 +89,7 @@ def test_series_max_matches_a_dense_scan(kappa, eps):
     i = int(np.argmax(np.abs(np.polynomial.chebyshev.chebval(xs, full))))
     xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 200001)
     want = np.max(np.abs(np.polynomial.chebyshev.chebval(xs, full)))
-    assert inversion._series_max(odd, degree) == pytest.approx(want, rel=1e-12)
+    assert inversion._series_max(odd) == pytest.approx(want, rel=1e-12)
 
 
 def test_truncation_error_decreases_with_degree():
@@ -244,7 +244,8 @@ def test_format_angles_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_qsvt_identity_polynomial_reproduces_block():
-    # p(x) = x has a real response, exercising the idle-ancilla branch
+    # p(x) = x has a real response: the -Phi circuit gives the same block,
+    # and the Hadamard-combined average reproduces it
     rng = philox(15)
     m = rand_with_sigma(rng, [0.9, 0.4])
     be = encode_svd_dilation(m)

@@ -7,7 +7,6 @@ from qkalman.sampling import (
     SampleReport,
     estimate_entries,
     exact_amplitudes,
-    histogram_csv,
     pooled_report,
     sample_counts,
     with_rest,
@@ -129,17 +128,6 @@ def test_pooled_report_rejects_empty_budget():
         pooled_report(amps, 0, 10, 0)
     with pytest.raises(MeasurementBudgetError):
         pooled_report(amps, 100, 0, 0)
-
-
-def test_histogram_csv_format():
-    counts = np.array([5, 0, 3, 0], dtype=np.int64)
-    report = SampleReport(8, 1, 0, counts)
-    text = histogram_csv(report)
-    lines = text.strip().splitlines()
-    assert lines[0] == "basis_index,count"
-    assert lines[1:] == ["0,5", "2,3"]
-    total = sum(int(line.split(",")[1]) for line in lines[1:])
-    assert total == report.counts.sum()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, (5, 1, 2)])

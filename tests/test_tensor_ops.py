@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import philox, rand_orthogonal
 from qkalman.errors import DimensionError, NumericalFailureError
 from qkalman.tensor_ops import (
-    Adjoint,
     Dense,
     Extend,
     Product,
@@ -52,7 +51,7 @@ def test_product_requires_matching_children():
 def test_adjoint_is_conjugate_transpose():
     rng = philox(1)
     u = rand_unitary_op(rng, 2)
-    np.testing.assert_allclose(materialize(Adjoint(u)), u.matrix.conj().T,
+    np.testing.assert_allclose(materialize(adjoint(u)), u.matrix.conj().T,
                                atol=1e-14)
 
 
@@ -164,14 +163,13 @@ def test_materialize_block_selects_entries():
 def test_compact_preserves_action_and_drops_adjoints():
     rng = philox(8)
     inner = Product((
-        Adjoint(rand_unitary_op(rng, 2)),
+        adjoint(rand_unitary_op(rng, 2)),
         Select(rand_unitary_op(rng, 1), rand_unitary_op(rng, 1)),
     ))
     op = Extend(inner, 3, (0, 2))
     compacted = compact_operator(op)
     np.testing.assert_allclose(materialize(compacted), materialize(op),
                                atol=1e-12)
-    assert op_stats(compacted)["adjoint"] == 0
 
 
 def test_compact_materializes_small_trees():
@@ -190,12 +188,15 @@ def test_unitarity_residual_flags_non_unitaries():
 
 
 def test_op_stats_counts_nodes():
-    op = Product((identity_op(2), Adjoint(identity_op(2))))
+    op = Product((identity_op(2), adjoint(identity_op(2))))
     stats = op_stats(op)
+    assert set(stats) == {"qubits", "depth", "dense", "product", "select",
+                          "extend", "projector_phase"}
     assert stats["qubits"] == 2
+    assert stats["depth"] == 3
     assert stats["product"] == 1
-    assert stats["adjoint"] == 1
     assert stats["extend"] == 2
+    assert stats["dense"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def rand_tree(rng, n, depth):
         return Product(tuple(rand_tree(rng, n, depth - 1)
                              for _ in range(int(rng.integers(2, 4)))))
     if kind == "adjoint":
-        return Adjoint(rand_tree(rng, n, depth - 1))
+        return adjoint(rand_tree(rng, n, depth - 1))
     if kind == "select":
         return Select(rand_tree(rng, n - 1, depth - 1),
                       rand_tree(rng, n - 1, depth - 1))
@@ -231,6 +232,8 @@ def rand_tree(rng, n, depth):
        seed=st.integers(0, 2**32 - 1))
 def test_ancilla_block_matches_materialize_block(n, depth, seed):
     op = rand_tree(philox(seed), n, depth)
+    np.testing.assert_allclose(materialize(adjoint(op)), materialize(op).conj().T,
+                               atol=1e-12)
     for ancillas in range(n + 1):
         idx = range(2 ** (n - ancillas))
         np.testing.assert_allclose(ancilla_block(op, ancillas, idx),
