@@ -12,11 +12,12 @@ reciprocal
 with b = ceil(kappa^2 * ln(kappa/eps')). The truncation keeps degrees up
 to d = 2*ceil(sqrt(b*ln(4b/eps'))) + 1, the standard sufficient cutoff;
 the achieved error is then measured on a dense grid and must come in
-under eps'. Binomial weights are computed exactly (integers -> Fraction)
-before conversion to float. The reported `scale` is the max of the
-truncated series over [-1, 1] (refined locally) divided by (1 - 1e-8),
-so the normalized polynomial obeys |p| <= 1 with a strict margin; scale
-plays the role of the kappa*beta factor relating p to 1/x.
+under eps'. Only the coefficients the truncation can keep are built:
+the binomial tails are exact integers, and each kept coefficient is one
+correctly rounded division of its tail by 4^b. The reported `scale` is
+the max of the truncated series over [-1, 1] (refined locally) divided
+by (1 - 1e-8), so the normalized polynomial obeys |p| <= 1 with a strict
+margin; scale plays the role of the kappa*beta factor relating p to 1/x.
 
 Phases
 ------
@@ -32,9 +33,14 @@ be rank-deficient by one: x = 0 is satisfied identically by any odd-d
 response). It is solved by plain Newton steps from psi_0 = pi/4, all
 other free angles 0, the start Dong, Lin, Ni and Wang (arXiv:2307.12468)
 show to be robust across parameter regimes; for the 1/x polynomials
-here it takes 16 steps from degree 23 to 415. The result is verified at
-the order-d nodes. Solutions are non-unique; no angle list is treated as
-ground truth.
+here it takes 16 steps from degree 23 to 415. Each step evaluates the
+residual and Jacobian in one pass over SU(2) pairs (a, b) standing for
+[[a, b], [-b*, a*]]: the prefix products of E_k = exp(i psi_k Z) and W
+are built once, and since the phases are a palindrome and W is
+symmetric, each suffix is the transpose of a prefix. The result is
+verified at the order-d nodes by the separate stacked 2x2 product
+(`_response_batch`). Solutions are non-unique; no angle list is treated
+as ground truth.
 
 Circuit
 -------
@@ -50,9 +56,9 @@ a_out = a_in + 1.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,6 +84,7 @@ from .tensor_ops import (
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
 _NEWTON_TOL = 1e-12  # node residual at which Newton stops early
 _NEWTON_MAXITER = 50
+_CACHE_SIZE = 32  # entries kept by the polynomial and the phase cache each
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +142,24 @@ def eval_cheb(poly: ChebPoly, x):
     return out if out.shape else float(out)
 
 
-def _odd_series_one_over_x(b: int) -> np.ndarray:
-    """Exact odd Chebyshev coefficients of (1 - (1-x^2)^b)/x, c_1..c_{2b-1}."""
+def _odd_series_one_over_x(b: int, count: int | None = None) -> np.ndarray:
+    """Odd Chebyshev coefficients c_1, c_3, ... of (1 - (1-x^2)^b)/x.
+
+    Only the first min(count, b) are built (all b when count is None).
+    The tails sum_{i=j+1}^{b} C(2b, b+i) are exact integers, starting
+    from (4^b - C(2b, b))/2 and stepping C(2b, b+j) down the exact
+    recurrence C(2b, b+j+1) = C(2b, b+j) (b-j)/(b+j+1); each kept
+    coefficient costs one correctly rounded int division by 4^b.
+    """
+    count = b if count is None else min(count, b)
     denom = 4**b
-    partial = 0
-    tails = [0] * b  # tails[j] = sum_{i=j+1}^{b} C(2b, b+i)
-    for j in range(b - 1, -1, -1):
-        partial += math.comb(2 * b, b + j + 1)
-        tails[j] = partial
-    coeffs = np.empty(b)
-    for j in range(b):
-        coeffs[j] = 4 * (-1) ** j * float(Fraction(tails[j], denom))
+    comb = math.comb(2 * b, b)
+    tail = (denom - comb) // 2
+    coeffs = np.empty(count)
+    for j in range(count):
+        coeffs[j] = (4 if j % 2 == 0 else -4) * (tail / denom)
+        comb = comb * (b - j) // (b + j + 1)  # C(2b, b+j+1)
+        tail -= comb
     return coeffs
 
 
@@ -184,16 +198,14 @@ def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebP
     if degree % 2 == 0:
         raise ParityError(f"degree must be odd, got {degree}")
     b = smoothing_order(kappa, eps_prime)
-    series = _odd_series_one_over_x(b)
-    keep = min((degree + 1) // 2, b)
-    odd = series[:keep].copy()
-    d = 2 * keep - 1
+    odd = _odd_series_one_over_x(b, (degree + 1) // 2)
+    d = 2 * odd.size - 1
     scale = _series_max(odd) / (1.0 - _MARGIN)
     err = _measured_error(odd, kappa)
     return ChebPoly(odd / scale, d, kappa, scale, err / scale)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_CACHE_SIZE)
 def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebPoly:
     """Odd polynomial with scale*p(x) ~= 1/x to eps' on [1/kappa, 1].
 
@@ -211,7 +223,7 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
     d = min(2 * j0 + 1, 2 * b - 1)
     if d > degree_cap:
         raise ApproximationError(f"required degree {d} exceeds the cap {degree_cap}")
-    series = _odd_series_one_over_x(b)
+    series = _odd_series_one_over_x(b, (min(degree_cap, 2 * b - 1) + 1) // 2)
     while True:
         odd = series[: (d + 1) // 2].copy()
         err = _measured_error(odd, kappa)
@@ -317,7 +329,7 @@ def qsp_response(phi: PhaseFactors, x):
 # phase solving
 # ---------------------------------------------------------------------------
 
-_solve_cache: dict = {}
+_solve_cache: OrderedDict = OrderedDict()  # least recently used first
 
 
 def _sym_angles(free: np.ndarray) -> np.ndarray:
@@ -329,48 +341,38 @@ def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
     """Real-part residual at the nodes and its Jacobian w.r.t. free angles.
 
     Works on the factor sequence E_0 W E_1 ... W E_d with diagonal
-    E_k = diag(e^{i psi_k}, e^{-i psi_k}): suffix[k] = E_k W ... E_d and
-    prefix[k] = E_0 W ... E_{k-1} W give the derivative insertion
-    d resp / d psi_k = (prefix[k] @ iZ @ suffix[k])[0,0].
+    E_k = diag(e^{i psi_k}, e^{-i psi_k}). Every factor, and so every
+    partial product, is in SU(2) and is kept as a pair (a, b) standing for
+    [[a, b], [-b*, a*]]. One pass builds the prefixes
+    P_k = E_0 W ... E_{k-1} W. The suffixes S_k = E_k W ... W E_d need no
+    second pass: the phases are a palindrome and W is symmetric, so
+    S_k = (P_{d-k} E_{d-k})^T. The derivative insertion is
+    d resp / d psi_k = (P_k iZ S_k)_{00}, and free angle m moves psi_m and
+    psi_{d-m}.
     """
     psis = _sym_angles(free)
     d = psis.size - 1
     half = free.size
-    n = x.size
-    root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-    w = np.empty((n, 2, 2), dtype=complex)
-    w[:, 0, 0] = x
-    w[:, 0, 1] = 1j * root
-    w[:, 1, 0] = 1j * root
-    w[:, 1, 1] = x
-    rots = np.stack([np.exp(1j * psis), np.exp(-1j * psis)], axis=1)  # (d+1, 2)
+    iroot = 1j * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
+    rot = np.exp(1j * psis)[:, None]  # (d+1, 1): E_k = diag(rot, rot*)
+    con = rot.conjugate()
+    # P_{k+1} = P_k E_k W with W = (x, i sqrt(1-x^2)) maps (a, b) linearly
+    xr, ic, ir, xc = x * rot, iroot * con, iroot * rot, x * con
 
-    suffix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    suffix[d] = 0.0
-    suffix[d][:, 0, 0] = rots[d, 0]
-    suffix[d][:, 1, 1] = rots[d, 1]
-    for k in range(d - 1, -1, -1):
-        step = w @ suffix[k + 1]
-        suffix[k] = rots[k][None, :, None] * step  # left-multiply diag E_k
-
-    prefix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    prefix[0] = np.eye(2, dtype=complex)[None]
+    pa = np.empty((d + 1, x.size), dtype=complex)
+    pb = np.empty((d + 1, x.size), dtype=complex)
+    pa[0] = 1.0
+    pb[0] = 0.0
     for k in range(d):
-        step = prefix[k] * rots[k][None, None, :]  # right-multiply diag E_k
-        prefix[k + 1] = step @ w
+        pa[k + 1] = xr[k] * pa[k] + ic[k] * pb[k]
+        pb[k + 1] = ir[k] * pa[k] + xc[k] * pb[k]
+    qa = pa * rot  # Q_k = P_k E_k
+    qb = pb * con
 
-    resp = suffix[0][:, 0, 0]
-    r = resp.real - target
-
-    jac = np.empty((n, half))
-    for m in range(half):
-        deriv = np.zeros(n, dtype=complex)
-        for k in (m, d - m):
-            deriv += 1j * (
-                prefix[k][:, 0, 0] * suffix[k][:, 0, 0]
-                - prefix[k][:, 0, 1] * suffix[k][:, 1, 0]
-            )
-        jac[:, m] = deriv.real
+    r = qa[d].real - target
+    # (S_k)_{00} = (Q_{d-k})_{00} and (S_k)_{10} = (Q_{d-k})_{01}
+    deriv = (1j * (pa * qa[::-1] - pb * qb[::-1])).real
+    jac = (deriv[:half] + deriv[: d - half: -1]).T
     return r, jac
 
 
@@ -391,6 +393,7 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
     key = (d, poly.odd_coeffs.round(14).tobytes())
     cached = _solve_cache.get(key)
     if cached is not None:
+        _solve_cache.move_to_end(key)
         return cached
 
     grid = np.linspace(-1.0, 1.0, 4001)
@@ -441,6 +444,8 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
             residual=residual)
     phi = PhaseFactors(angles, "wx", residual, iterations)
     _solve_cache[key] = phi
+    if len(_solve_cache) > _CACHE_SIZE:
+        _solve_cache.popitem(last=False)
     return phi
 
 

@@ -75,28 +75,36 @@ def with_rest(targets: np.ndarray) -> np.ndarray:
     return np.append(targets, rest)
 
 
-def sample_counts(amplitudes: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial shot histogram over |amplitudes|^2, Philox-seeded."""
-    amplitudes = np.asarray(amplitudes)
-    probs = np.abs(amplitudes) ** 2
+def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|amplitudes|^2 renormalized to sum 1."""
+    probs = np.abs(np.asarray(amplitudes)) ** 2
     total = probs.sum()
     if not np.isfinite(total) or total <= 0:
         raise DimensionError("amplitude vector has no probability mass")
-    probs = probs / total
+    return probs / total
+
+
+def sample_counts(amplitudes: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial shot histogram over |amplitudes|^2, Philox-seeded."""
     rng = np.random.Generator(np.random.Philox(seed))
-    return rng.multinomial(shots, probs)
+    return rng.multinomial(shots, _probabilities(amplitudes))
 
 
 def pooled_report(amplitudes: np.ndarray, shots: int, iterations: int,
                   seed: int) -> SampleReport:
-    """Pool counts over iterations, one spawned child seed per iteration."""
+    """Pool counts over iterations, one spawned child seed per iteration.
+
+    The probabilities are computed once; iteration i's counts equal
+    sample_counts(amplitudes, shots, child_i).
+    """
     if shots <= 0 or iterations <= 0:
         raise MeasurementBudgetError(
             f"need positive shots and iterations, got {shots}x{iterations}")
-    children = np.random.SeedSequence(seed).spawn(iterations)
-    counts = np.zeros(np.asarray(amplitudes).size, dtype=np.int64)
-    for child in children:
-        counts += sample_counts(amplitudes, shots, child)
+    probs = _probabilities(amplitudes)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for child in np.random.SeedSequence(seed).spawn(iterations):
+        rng = np.random.Generator(np.random.Philox(child))
+        counts += rng.multinomial(shots, probs)
     return SampleReport(shots, iterations, seed, counts)
 
 

@@ -1,4 +1,7 @@
-"""Shared random-matrix helpers for the test suite."""
+"""Shared random-matrix helpers and reference implementations for the test suite."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,3 +62,62 @@ def model_with_innovation(rng: np.random.Generator, spectrum, steps: int):
     x0 = rng.standard_normal(n)
     return (A, B, H, 0.5 * (Q + Q.T), 0.5 * (R + R.T), x0, P0,
             rng.standard_normal((steps, 1)), rng.standard_normal((steps, n)))
+
+
+def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
+    """Reference phase-solver residual and Jacobian from stacked 2x2 products.
+
+    The straightforward form of `inversion._residual_and_jac`: one loop
+    builds the suffixes E_k W ... E_d, a second the prefixes
+    E_0 W ... E_{k-1} W, and each free angle's column sums the derivative
+    insertions (prefix[k] @ iZ @ suffix[k])[0, 0] at k = m and k = d - m.
+    """
+    psis = np.concatenate([free, free[::-1]])
+    d = psis.size - 1
+    half = free.size
+    n = x.size
+    root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
+    w = np.empty((n, 2, 2), dtype=complex)
+    w[:, 0, 0] = x
+    w[:, 0, 1] = 1j * root
+    w[:, 1, 0] = 1j * root
+    w[:, 1, 1] = x
+    rots = np.stack([np.exp(1j * psis), np.exp(-1j * psis)], axis=1)  # (d+1, 2)
+
+    suffix = np.empty((d + 1, n, 2, 2), dtype=complex)
+    suffix[d] = 0.0
+    suffix[d][:, 0, 0] = rots[d, 0]
+    suffix[d][:, 1, 1] = rots[d, 1]
+    for k in range(d - 1, -1, -1):
+        suffix[k] = rots[k][None, :, None] * (w @ suffix[k + 1])
+
+    prefix = np.empty((d + 1, n, 2, 2), dtype=complex)
+    prefix[0] = np.eye(2, dtype=complex)[None]
+    for k in range(d):
+        prefix[k + 1] = (prefix[k] * rots[k][None, None, :]) @ w
+
+    r = suffix[0][:, 0, 0].real - target
+    jac = np.empty((n, half))
+    for m in range(half):
+        deriv = np.zeros(n, dtype=complex)
+        for k in (m, d - m):
+            deriv += 1j * (prefix[k][:, 0, 0] * suffix[k][:, 0, 0]
+                           - prefix[k][:, 0, 1] * suffix[k][:, 1, 0])
+        jac[:, m] = deriv.real
+    return r, jac
+
+
+def fraction_series_one_over_x(b: int) -> np.ndarray:
+    """Reference odd Chebyshev coefficients of (1 - (1-x^2)^b)/x, all b.
+
+    Every tail sum_{i=j+1}^{b} C(2b, b+i) from `math.comb`, each
+    coefficient 4 (-1)^j float(Fraction(tail, 4^b)).
+    """
+    denom = 4**b
+    tails = [0] * b
+    partial = 0
+    for j in range(b - 1, -1, -1):
+        partial += math.comb(2 * b, b + j + 1)
+        tails[j] = partial
+    return np.array([4 * (-1) ** j * float(Fraction(tails[j], denom))
+                     for j in range(b)])

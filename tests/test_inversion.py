@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import qkalman.inversion as inversion
-from helpers import philox, rand_with_sigma
+from helpers import (
+    fraction_series_one_over_x,
+    philox,
+    rand_with_sigma,
+    stacked_residual_and_jac,
+)
 from qkalman.block_encoding import decode, encode_svd_dilation
 from qkalman.errors import (
     ApproximationError,
@@ -92,6 +97,17 @@ def test_series_max_matches_a_dense_scan(kappa, eps):
     assert inversion._series_max(odd) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3, 17, 231, 1485])
+def test_series_prefix_matches_fraction_reference(b):
+    # exact-integer tails and one rounded division give the Fraction values
+    # bit for bit; a count past b is clipped to b
+    want = fraction_series_one_over_x(b)
+    np.testing.assert_array_equal(inversion._odd_series_one_over_x(b), want)
+    for count in (b // 2, b, b + 3):
+        got = inversion._odd_series_one_over_x(b, count)
+        np.testing.assert_array_equal(got, want[:count])
+
+
 def test_truncation_error_decreases_with_degree():
     errs = []
     for d in (21, 41, 57):
@@ -161,12 +177,15 @@ def test_solver_rescales_oversized_targets():
     assert resp.real == pytest.approx(0.5, abs=1e-7)
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-3])
-@pytest.mark.parametrize("kappa", [1.5, 2.0, 3.5, 5.0, 8.0])
+@pytest.mark.parametrize(
+    "kappa,eps",
+    [(k, e) for k in (1.5, 2.0, 3.5, 5.0, 8.0) for e in (1e-2, 1e-3)]
+    + [(14.3, 1e-2)])
 def test_solver_inverse_poly_sweep(kappa, eps):
-    # degrees 23..185: exact Newton from the standard start takes 16
-    # steps on each of these (a Jacobian with its mirrored terms halved
-    # takes 24-25), and the response matches p on a dense grid
+    # degrees 23..185, plus 283 (kappa 14.3), the top of the margin
+    # policy's range: exact Newton from the standard start takes 16 steps
+    # on each of these (a Jacobian with its mirrored terms halved takes
+    # 24-25), and the response matches p on a dense grid
     poly = inverse_poly(kappa, eps)
     phi = solve_phase_factors(poly)
     assert phi.degree == poly.degree
@@ -175,6 +194,44 @@ def test_solver_inverse_poly_sweep(kappa, eps):
     xs = np.linspace(-1, 1, 2001)
     np.testing.assert_allclose(qsp_response(phi, xs).real,
                                np.asarray(eval_cheb(poly, xs)), atol=1e-8)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 9, 57, 105, 283])
+def test_residual_and_jac_match_stacked_products(degree):
+    # the SU(2)-pair kernel against the stacked 2x2 reference, and two
+    # Jacobian columns against central differences
+    rng = philox(degree)
+    half = (degree + 1) // 2
+    free = rng.uniform(-np.pi, np.pi, half)
+    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    target = rng.uniform(-1, 1, half)
+    r, jac = inversion._residual_and_jac(free, nodes, target)
+    r_ref, jac_ref = stacked_residual_and_jac(free, nodes, target)
+    assert jac.shape == (half, half)
+    np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(jac, jac_ref, rtol=0, atol=1e-12)
+    h = 1e-6
+    for m in {0, half - 1}:
+        step = np.zeros(half)
+        step[m] = h
+        up, _ = inversion._residual_and_jac(free + step, nodes, target)
+        down, _ = inversion._residual_and_jac(free - step, nodes, target)
+        np.testing.assert_allclose(jac[:, m], (up - down) / (2 * h),
+                                   rtol=0, atol=1e-6)
+
+
+def test_solve_cache_keeps_the_32_most_recent():
+    inversion._solve_cache.clear()
+    polys = [ChebPoly([0.5 + 0.01 * i], 1, 2.0, 1.0, 0.0) for i in range(40)]
+    phis = [solve_phase_factors(p) for p in polys]
+    assert len(inversion._solve_cache) <= 32
+    assert solve_phase_factors(polys[-1]) is phis[-1]
+    # a hit refreshes its entry, so the oldest survivor outlives the next insert
+    oldest = polys[40 - len(inversion._solve_cache)]
+    phi_oldest = solve_phase_factors(oldest)
+    solve_phase_factors(ChebPoly([0.1], 1, 2.0, 1.0, 0.0))
+    assert solve_phase_factors(oldest) is phi_oldest
+    assert solve_phase_factors(polys[0]) is not phis[0]  # evicted, solved anew
 
 
 def test_solver_raises_on_stall(monkeypatch):

@@ -160,3 +160,16 @@ def test_rest_outcome_clamps_at_zero():
     report = pooled_report(amps, 1000, 3, 9)
     assert report.counts[2] == 0
     assert report.counts.sum() == 3000
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_pooled_counts_sum_per_child_draws(seed):
+    # probabilities computed once give the same counts as a sample_counts
+    # call per spawned child
+    rng = np.random.Generator(np.random.Philox(seed))
+    for size in (3, 64):
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        report = pooled_report(amps, 1000, 7, seed)
+        want = sum(sample_counts(amps, 1000, child)
+                   for child in np.random.SeedSequence(seed).spawn(7))
+        np.testing.assert_array_equal(report.counts, want)
