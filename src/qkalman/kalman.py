@@ -26,6 +26,12 @@ shots over the n target outcomes plus one rest outcome that stands for
 every other basis state, and estimates entries as alpha*sqrt(frequency)
 with exact-amplitude signs.
 
+Stage encodings stay lazy trees. Only the inverse is compacted
+(`tensor_ops.compact_operator`), because it is the one sub-circuit that
+repeats: its singular value transform applies the re-encoded innovation
+block and its adjoint d times, while every other stage is one product
+or one LCU sum.
+
 The innovation dimension must fill its register exactly (m = 2^s):
 zero-padding would make the padded innovation covariance singular and
 uninvertible.
@@ -256,10 +262,6 @@ def classical_step(model: KalmanModel, state: FilterState, u, z) -> FilterState:
 # encoding helpers
 # ---------------------------------------------------------------------------
 
-def _compact(be: BlockEncoding) -> BlockEncoding:
-    return replace(be, op=compact_operator(be.op))
-
-
 def encode_matrix(mat, s: int, label: str = "") -> BlockEncoding:
     """Data-structure encoding of a (padded) matrix; zero matrices get the
     dedicated zero encoding so alpha stays positive."""
@@ -294,11 +296,11 @@ def q_predict_state(ledger: NormLedger, be_a: BlockEncoding, be_x: BlockEncoding
                     be_b: BlockEncoding, be_u: BlockEncoding,
                     step: int = 0) -> BlockEncoding:
     """Prior state X- = A X + B U."""
-    m31 = _compact(be_multiply(be_a, be_x))
+    m31 = be_multiply(be_a, be_x)
     ledger.record("alpha_31", m31, step)
-    m32 = _compact(be_multiply(be_b, be_u))
+    m32 = be_multiply(be_b, be_u)
     ledger.record("alpha_32", m32, step)
-    x_minus = _compact(be_add(m31, m32))
+    x_minus = be_add(m31, m32)
     ledger.record("alpha_x_minus", x_minus, step)
     return x_minus
 
@@ -306,9 +308,9 @@ def q_predict_state(ledger: NormLedger, be_a: BlockEncoding, be_x: BlockEncoding
 def q_predict_cov(ledger: NormLedger, be_a: BlockEncoding, be_p: BlockEncoding,
                   be_q: BlockEncoding, step: int = 0) -> BlockEncoding:
     """Prior covariance P- = A P A^T + Q."""
-    m41 = _compact(be_multiply(be_multiply(be_a, be_p), be_adjoint(be_a)))
+    m41 = be_multiply(be_multiply(be_a, be_p), be_adjoint(be_a))
     ledger.record("alpha_41", m41, step)
-    p_minus = _compact(be_add(m41, be_q))
+    p_minus = be_add(m41, be_q)
     ledger.record("alpha_P_minus", p_minus, step)
     return p_minus
 
@@ -322,11 +324,11 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     re-encoded freshly at s ancillas with its Frobenius norm as the new
     alpha, and inverted through the singular value transform.
     """
-    m51 = _compact(be_multiply(be_p_minus, be_adjoint(be_h)))
+    m51 = be_multiply(be_p_minus, be_adjoint(be_h))
     ledger.record("alpha_51", m51, step)
-    m52 = _compact(be_multiply(be_h, m51))
+    m52 = be_multiply(be_h, m51)
     ledger.record("alpha_52", m52, step)
-    m53 = _compact(be_add(m52, be_r))
+    m53 = be_add(m52, be_r)
     ledger.record("alpha_53", m53, step)
 
     a_temp = _real_block(decode(m53), "innovation readout")
@@ -351,10 +353,11 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
 
     poly = inverse_poly(kappa_used, eps_prime, degree_cap)
     phi = solve_phase_factors(poly)
-    be54 = _compact(be_invert(be53p, kappa_used, eps_prime, degree_cap,
-                              poly=poly, phi=phi))
+    be54 = be_invert(be53p, kappa_used, eps_prime, degree_cap,
+                     poly=poly, phi=phi)
+    be54 = replace(be54, op=compact_operator(be54.op))
     ledger.record("alpha_54", be54, step)
-    k_be = _compact(be_multiply(m51, be54))
+    k_be = be_multiply(m51, be54)
     ledger.record("alpha_K", k_be, step)
     ledger.qsvt_info[step] = {
         "gamma": gamma,
@@ -376,13 +379,13 @@ def q_update_state(ledger: NormLedger, be_x_minus: BlockEncoding,
                    be_k: BlockEncoding, be_h: BlockEncoding,
                    be_z: BlockEncoding, step: int = 0) -> BlockEncoding:
     """Posterior state X = X- + K (Z - H X-)."""
-    m61 = _compact(be_multiply(be_h, be_x_minus))
+    m61 = be_multiply(be_h, be_x_minus)
     ledger.record("alpha_61", m61, step)
-    innovation = _compact(be_add(be_z, be_negate(m61)))
+    innovation = be_add(be_z, be_negate(m61))
     ledger.record("alpha_62", innovation, step)
-    m63 = _compact(be_multiply(be_k, innovation))
+    m63 = be_multiply(be_k, innovation)
     ledger.record("alpha_63", m63, step)
-    x_hat = _compact(be_add(be_x_minus, m63))
+    x_hat = be_add(be_x_minus, m63)
     ledger.record("alpha_x_hat", x_hat, step)
     return x_hat
 
@@ -391,9 +394,9 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
                  be_k: BlockEncoding, be_h: BlockEncoding,
                  step: int = 0) -> BlockEncoding:
     """Posterior covariance P = P- - K H P-."""
-    m71 = _compact(be_multiply(be_multiply(be_k, be_h), be_p_minus))
+    m71 = be_multiply(be_multiply(be_k, be_h), be_p_minus)
     ledger.record("alpha_71", m71, step)
-    p_hat = _compact(be_add(be_p_minus, be_negate(m71)))
+    p_hat = be_add(be_p_minus, be_negate(m71))
     ledger.record("alpha_P", p_hat, step)
     return p_hat
 

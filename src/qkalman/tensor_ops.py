@@ -6,14 +6,17 @@ Conventions used throughout the package:
   has flat index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}. Ancilla
   registers are always prepended most-significant, so the state
   |0^a>|j> of an (a+s)-qubit register has flat index j.
-* Operators are trees, executed in one of two ways; nothing above
-  ``DENSE_THRESHOLD`` qubits is ever materialized as a dense matrix.
+* Operators are trees, executed in one of two ways.
   ``apply`` pushes a full-register statevector through the tree: the
   reference path for unitarity checks, compaction and exact amplitudes.
   ``ancilla_block`` reads columns of the <0^a|.|0^a> block only: its
   state holds the system register plus the ancilla wires that nodes
   have touched and nodes still to come will touch, so a register of
   a+s qubits costs about 2^(live wires) amplitudes per column.
+* Dense leaves have whatever width their builder chose (a
+  data-structure encoding's leaves span 2s qubits).
+  ``DENSE_THRESHOLD`` limits only what ``compact_operator`` and
+  ``materialize`` turn into a dense matrix.
 * ``Product((A, B))`` means the matrix product A @ B, i.e. B is applied
   first. ``Select(u0, u1)`` is |0><0| (x) u0 + |1><1| (x) u1 with the
   control on wire 0. ``Extend`` embeds a child operator on an explicit
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailureError
 
-DENSE_THRESHOLD = 10  # qubits; above this, operators stay lazy
+DENSE_THRESHOLD = 6  # qubits; compaction keeps larger subtrees lazy
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +432,12 @@ def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
 def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperator:
     """Materialize every subtree at or below the threshold into one Dense leaf.
 
-    Semantically a no-op (same unitary); collapses long Product chains
-    that act on few qubits, which is what makes the 14-qubit filter step
-    cheap.
+    Semantically a no-op (same unitary). Building a leaf pushes all 2^n
+    basis columns through the subtree, so it pays off only for a
+    sub-circuit that repeats work, such as the singular value transform,
+    which applies one encoding and its adjoint d times: the leaf then
+    does in one matrix product what a lazy walk would do d times. A
+    subtree without repetition is cheaper to walk lazily.
     """
     if op.nqubits <= threshold:
         if isinstance(op, Dense):

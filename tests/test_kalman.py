@@ -376,21 +376,31 @@ def test_stage_ancillas_scale_linearly_without_decode():
     assert math.isfinite(x_hat.alpha)
 
 
-def test_exact_filter_at_eight_states():
-    # s = 3: the update encodings sit on 29 + 3 = 32 and 31 + 3 = 34 qubits,
-    # read out without any full-register statevector
+def _check_exact_filter(seed: int, spectrum, s: int):
+    """Two exact margin-policy steps stay within the ledger's eps bounds."""
     A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
-        philox(61), (2.0, 1.8, 1.6, 1.4, 1.3, 1.2, 1.1, 1.0), 2)
+        philox(seed), spectrum, 2)
     model = KalmanModel(A, B, H, Q, R)
     traj, ledger = q_filter_run(model, FilterState(x0, P0), us, zs, 2,
                                 kappa_policy=KappaPolicy.margin(1.1))
-    assert ledger.find("alpha_P", 1).ancillas == 9 * 3 + 4
+    assert ledger.find("alpha_P", 1).ancillas == 9 * s + 4
     for k in (1, 2):
         want = classical_step(model, traj[k - 1], us[k - 1], zs[k - 1])
         x_err = np.max(np.abs(traj[k].x_hat - want.x_hat))
         p_err = np.linalg.norm(traj[k].P - want.P, 2)
         assert x_err <= ledger.find("alpha_x_hat", k).eps
         assert p_err <= ledger.find("alpha_P", k).eps
+
+
+def test_exact_filter_at_eight_states():
+    # s = 3: the update encodings sit on 29 + 3 = 32 and 31 + 3 = 34 qubits,
+    # read out without any full-register statevector
+    _check_exact_filter(61, (2.0, 1.8, 1.6, 1.4, 1.3, 1.2, 1.1, 1.0), 3)
+
+
+def test_exact_filter_at_sixteen_states():
+    # s = 4: 40 ancillas on P; the data-structure leaves span 8 qubits
+    _check_exact_filter(63, np.linspace(2.0, 1.0, 16), 4)
 
 
 def test_four_state_decode_stays_small():
