@@ -14,7 +14,11 @@ to d = 2*ceil(sqrt(b*ln(4b/eps'))) + 1, the standard sufficient cutoff;
 the achieved error is then measured on a dense grid and must come in
 under eps'. Only the coefficients the truncation can keep are built:
 the binomial tails are exact integers, and each kept coefficient is one
-correctly rounded division of its tail by 4^b. The reported `scale` is
+correctly rounded division of its tail by 4^b. The series is evaluated
+at half length: T_{2j+1}(x) = x V_j(2x^2 - 1), with V_j the third-kind
+Chebyshev polynomial (V_0 = 1, V_1 = 2y - 1, V_{j+1} = 2y V_j - V_{j-1}),
+so Clenshaw runs over the (d+1)/2 odd coefficients only and the result
+is exactly odd in floating point. The reported `scale` is
 the max of the truncated series over [-1, 1] (refined locally) divided
 by (1 - 1e-8), so the normalized polynomial obeys |p| <= 1 with a strict
 margin; scale plays the role of the kappa*beta factor relating p to 1/x.
@@ -38,9 +42,10 @@ residual and Jacobian in one pass over SU(2) pairs (a, b) standing for
 [[a, b], [-b*, a*]]: the prefix products of E_k = exp(i psi_k Z) and W
 are built once, and since the phases are a palindrome and W is
 symmetric, each suffix is the transpose of a prefix. The result is
-verified at the order-d nodes by the separate stacked 2x2 product
-(`_response_batch`). Solutions are non-unique; no angle list is treated
-as ground truth.
+verified at the order-d nodes by `_response_batch`, which carries row 0
+of the plain product of the full angle list and so shares neither the
+SU(2)-pair form nor the palindrome identity with the kernel it checks.
+Solutions are non-unique; no angle list is treated as ground truth.
 
 Circuit
 -------
@@ -122,14 +127,23 @@ class ChebPoly:
 
 
 def _clenshaw_odd(odd_coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of sum_j odd_coeffs[j] T_{2j+1}(x); no domain check."""
-    c = np.zeros(2 * len(odd_coeffs))
-    c[1::2] = odd_coeffs
+    """sum_j odd_coeffs[j] T_{2j+1}(x) = x sum_j odd_coeffs[j] V_j(2x^2 - 1).
+
+    Clenshaw over the third-kind recurrence V_{j+1} = 2y V_j - V_{j-1}
+    (V_0 = 1, V_1 = 2y - 1), one term per odd coefficient. The series
+    depends on x only through x^2 and the final factor x, so it is
+    exactly odd in floating point. No domain check.
+    """
+    y2 = 4.0 * x * x - 2.0  # 2y
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
-    for ck in c[:0:-1]:
-        b1, b2 = 2 * x * b1 - b2 + ck, b1
-    return x * b1 - b2 + c[0]
+    tmp = np.empty_like(x)
+    for ck in odd_coeffs[:0:-1]:
+        np.multiply(y2, b1, out=tmp)  # b_k = 2y b_{k+1} - b_{k+2} + c_k, in place
+        tmp -= b2
+        tmp += ck
+        b1, b2, tmp = tmp, b1, b2
+    return x * ((y2 - 1.0) * b1 - b2 + odd_coeffs[0])
 
 
 def eval_cheb(poly: ChebPoly, x):
@@ -288,31 +302,26 @@ def to_reflection(phi: PhaseFactors) -> PhaseFactors:
 
 
 def _response_batch(angles: np.ndarray, x: np.ndarray, convention: str) -> np.ndarray:
-    """<0|U|0> of the alternating rotation product, vectorized over x."""
+    """<0|U|0> of the alternating rotation product, vectorized over x.
+
+    Carries row 0 of the running product as (a, b): each signal matrix
+    maps it to (a s00 + b s10, a s01 + b s11), then the rotation scales
+    a by e^{i psi} and b by e^{-i psi}.
+    """
     x = np.asarray(x, dtype=float)
     root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-    n = x.size
-    signal = np.empty((n, 2, 2), dtype=complex)
     if convention == "wx":
-        signal[:, 0, 0] = x
-        signal[:, 0, 1] = 1j * root
-        signal[:, 1, 0] = 1j * root
-        signal[:, 1, 1] = x
+        s00, s01, s10, s11 = x, 1j * root, 1j * root, x
         prefactor = 1.0 + 0j
     else:
-        signal[:, 0, 0] = x
-        signal[:, 0, 1] = root
-        signal[:, 1, 0] = root
-        signal[:, 1, 1] = -x
+        s00, s01, s10, s11 = x, root, root, -x
         prefactor = 1j ** ((angles.size - 1) % 4)
-    rot0 = np.array([np.exp(1j * angles[0]), np.exp(-1j * angles[0])])
-    acc = np.zeros((n, 2, 2), dtype=complex)
-    acc[:, 0, 0] = rot0[0]
-    acc[:, 1, 1] = rot0[1]
-    for ang in angles[1:]:
-        acc = acc @ signal
-        acc = acc * np.array([np.exp(1j * ang), np.exp(-1j * ang)])[None, None, :]
-    return prefactor * acc[:, 0, 0]
+    rot = np.exp(1j * angles)
+    a = np.full(x.shape, rot[0])
+    b = np.zeros(x.shape, dtype=complex)
+    for e in rot[1:]:
+        a, b = (a * s00 + b * s10) * e, (a * s01 + b * s11) * e.conjugate()
+    return prefactor * a
 
 
 def qsp_response(phi: PhaseFactors, x):

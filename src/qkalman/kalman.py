@@ -20,11 +20,12 @@ residual and iterations) rides along per step.
 The filter loop measures at each step boundary and re-encodes the
 estimates freshly, so ancillas do not accumulate across steps. Both
 readouts evaluate only the ancilla-zero block of the columns they need
-(`tensor_ops.ancilla_block`), never a full-register statevector. Exact
-readout decodes x_hat's one column and P's n columns. Sampled readout draws, per column, seeded
-shots over the n target outcomes plus one rest outcome that stands for
-every other basis state, and estimates entries as alpha*sqrt(frequency)
-with exact-amplitude signs.
+(`tensor_ops.ancilla_block`), never a full-register statevector. Each
+readout walks x_hat's tree once for its one column and P's tree once
+for all n columns. Sampled readout then draws, per column, seeded shots
+over the n target outcomes plus one rest outcome that stands for every
+other basis state, and estimates entries as alpha*sqrt(frequency) with
+exact-amplitude signs.
 
 Stage encodings stay lazy trees. Only the inverse is compacted
 (`tensor_ops.compact_operator`), because it is the one sub-circuit that
@@ -405,16 +406,17 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
 # the filter loop
 # ---------------------------------------------------------------------------
 
-def _sampled_column(be: BlockEncoding, column: int, rows: int, shots: int,
+def _sampled_column(amps: np.ndarray, alpha: float, column: int, shots: int,
                     iterations: int, entropy) -> tuple[np.ndarray, dict]:
     """Sampled estimate of one decoded column, signs from exact amplitudes.
 
-    Shots land on the `rows` target outcomes |0^a, i> or on one rest
-    outcome that stands for every other basis state of the register.
+    `amps` are the column's target amplitudes <0^a, i| U |0^a, column>.
+    Shots land on those target outcomes or on one rest outcome that
+    stands for every other basis state of the register.
     """
-    amps = ancilla_block(be.op, be.ancillas, [column])[:rows, 0]
+    rows = amps.size
     report = pooled_report(with_rest(amps), shots, iterations, entropy)
-    ests = estimate_entries(report, be.alpha, range(rows), signs=amps.real)
+    ests = estimate_entries(report, alpha, range(rows), signs=amps.real)
     values = np.array([e.value for e in ests])
     meta = {
         "column": column,
@@ -503,18 +505,21 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             x_new = _real_block(decode(x_hat_be), "state readout")[:, 0]
             p_new = _real_block(decode(p_hat_be), "covariance readout")
         else:
+            x_amps = ancilla_block(x_hat_be.op, x_hat_be.ancillas, [0])[:n, 0]
             x_new, x_meta = _sampled_column(
-                x_hat_be, 0, n, shots, iterations, (seed, step, 0))
+                x_amps, x_hat_be.alpha, 0, shots, iterations, (seed, step, 0))
             if all(x_meta["zero_count"]):
                 raise MeasurementBudgetError(
                     f"step {step}: no counts landed on any state entry "
                     f"in {shots}x{iterations} shots",
                     partial=(trajectory, ledger))
+            p_amps = ancilla_block(p_hat_be.op, p_hat_be.ancillas, range(n))[:n]
             cols = []
             col_meta = []
             for col in range(n):
                 vals, meta = _sampled_column(
-                    p_hat_be, col, n, shots, iterations, (seed, step, 1 + col))
+                    p_amps[:, col], p_hat_be.alpha, col, shots, iterations,
+                    (seed, step, 1 + col))
                 cols.append(vals)
                 col_meta.append(meta)
             p_new = _sym(np.column_stack(cols))

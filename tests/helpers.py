@@ -107,6 +107,39 @@ def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray
     return r, jac
 
 
+def stacked_response(angles: np.ndarray, x: np.ndarray, convention: str) -> np.ndarray:
+    """Reference <0|U|0> of the alternating rotation product from stacked 2x2s.
+
+    The straightforward form of `inversion._response_batch`: the full
+    2x2 running product diag(e^{i psi_0}, e^{-i psi_0}) times, per further
+    angle, the signal matrix and diag(e^{i psi}, e^{-i psi}), one matrix
+    per point; the reflection convention adds the global phase i^d.
+    """
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
+    n = x.size
+    signal = np.empty((n, 2, 2), dtype=complex)
+    if convention == "wx":
+        signal[:, 0, 0] = x
+        signal[:, 0, 1] = 1j * root
+        signal[:, 1, 0] = 1j * root
+        signal[:, 1, 1] = x
+        prefactor = 1.0 + 0j
+    else:
+        signal[:, 0, 0] = x
+        signal[:, 0, 1] = root
+        signal[:, 1, 0] = root
+        signal[:, 1, 1] = -x
+        prefactor = 1j ** ((angles.size - 1) % 4)
+    acc = np.zeros((n, 2, 2), dtype=complex)
+    acc[:, 0, 0] = np.exp(1j * angles[0])
+    acc[:, 1, 1] = np.exp(-1j * angles[0])
+    for ang in angles[1:]:
+        acc = acc @ signal
+        acc = acc * np.array([np.exp(1j * ang), np.exp(-1j * ang)])[None, None, :]
+    return prefactor * acc[:, 0, 0]
+
+
 def fraction_series_one_over_x(b: int) -> np.ndarray:
     """Reference odd Chebyshev coefficients of (1 - (1-x^2)^b)/x, all b.
 

@@ -7,6 +7,7 @@ from helpers import (
     philox,
     rand_with_sigma,
     stacked_residual_and_jac,
+    stacked_response,
 )
 from qkalman.block_encoding import decode, encode_svd_dilation
 from qkalman.errors import (
@@ -125,6 +126,23 @@ def test_eval_cheb_matches_reference_clenshaw():
     np.testing.assert_allclose(np.asarray(eval_cheb(poly, xs)), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", [1, 9, 151, 501])
+def test_clenshaw_odd_matches_chebval(degree):
+    # the half-length V_j recurrence against numpy on the full coefficient
+    # vector, at points that include 0, the ends and 1/kappa
+    rng = philox(100 + degree)
+    odd = rng.standard_normal((degree + 1) // 2)
+    full = np.zeros(degree + 1)
+    full[1::2] = odd
+    xs = np.concatenate([[0.0, 1.0, -1.0, 1 / 13.0, -1 / 13.0],
+                         np.linspace(-1, 1, 2001), rng.uniform(-1, 1, 500)])
+    got = inversion._clenshaw_odd(odd, xs)
+    want = np.polynomial.chebyshev.chebval(xs, full)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.sum(np.abs(odd)))
+    assert np.array_equal(inversion._clenshaw_odd(odd, -xs), -got)
+
+
 def test_eval_cheb_rejects_out_of_domain():
     poly = ChebPoly([1.0], 1, 2.0, 1.0, 0.0)
     with pytest.raises(SigmaRangeError):
@@ -218,6 +236,18 @@ def test_residual_and_jac_match_stacked_products(degree):
         down, _ = inversion._residual_and_jac(free - step, nodes, target)
         np.testing.assert_allclose(jac[:, m], (up - down) / (2 * h),
                                    rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("convention", ["wx", "reflection"])
+@pytest.mark.parametrize("degree", [1, 9, 57, 283])
+def test_response_batch_matches_stacked_products(degree, convention):
+    # the row-0 recurrence against the full stacked 2x2 product
+    rng = philox(200 + degree)
+    angles = rng.uniform(-np.pi, np.pi, degree + 1)
+    xs = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1, 1, 200)])
+    np.testing.assert_allclose(
+        inversion._response_batch(angles, xs, convention),
+        stacked_response(angles, xs, convention), rtol=0, atol=1e-13)
 
 
 def test_solve_cache_keeps_the_32_most_recent():

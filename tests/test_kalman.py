@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qkalman.kalman as kalman
 from helpers import model_with_innovation, philox
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import decode
@@ -29,6 +30,7 @@ from qkalman.kalman import (
     q_update_cov,
     q_update_state,
 )
+from qkalman.tensor_ops import ancilla_block
 
 DEMO_KWARGS = dict(shots=1, iterations=1)
 
@@ -343,6 +345,31 @@ def test_filter_run_sampled_budget_abort():
     traj, ledger = err.value.partial
     assert len(traj) == 1
     assert len(ledger.entries) == 17
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_sampled_step_reads_each_encoding_in_one_walk(s, monkeypatch):
+    # one walk for x_hat's column, one for all of P's columns; each column
+    # of the batched P block equals its own single-column walk
+    n = 2**s
+    A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
+        philox(70 + s), np.linspace(2.0, 1.0, n), 1)
+    walks = []
+
+    def spy(op, ancillas, cols):
+        block = ancilla_block(op, ancillas, cols)
+        walks.append((op, ancillas, list(cols), block))
+        return block
+
+    monkeypatch.setattr(kalman, "ancilla_block", spy)
+    q_filter_run(KalmanModel(A, B, H, Q, R), FilterState(x0, P0), us, zs, 1,
+                 "sampled", shots=4096, iterations=1, seed=7,
+                 kappa_policy=KappaPolicy.fixed(6.0))
+    assert [cols for _, _, cols, _ in walks] == [[0], list(range(n))]
+    op, ancillas, _, block = walks[1]
+    for col in range(n):
+        single = ancilla_block(op, ancillas, [col])[:, 0]
+        np.testing.assert_allclose(block[:, col], single, rtol=0, atol=1e-15)
 
 
 def test_stage_ancillas_scale_linearly_without_decode():
