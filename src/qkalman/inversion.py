@@ -38,13 +38,18 @@ response). It is solved by plain Newton steps from psi_0 = pi/4, all
 other free angles 0, the start Dong, Lin, Ni and Wang (arXiv:2307.12468)
 show to be robust across parameter regimes; for the 1/x polynomials
 here it takes 16 steps from degree 23 to 415. Each step evaluates the
-residual and Jacobian in one pass over SU(2) pairs (a, b) standing for
-[[a, b], [-b*, a*]]: the prefix products of E_k = exp(i psi_k Z) and W
-are built once, and since the phases are a palindrome and W is
-symmetric, each suffix is the transpose of a prefix. The result is
-verified at the order-d nodes by `_response_batch`, which carries row 0
-of the plain product of the full angle list and so shares neither the
-SU(2)-pair form nor the palindrome identity with the kernel it checks.
+residual and Jacobian in a half-length pass over SU(2) pairs (a, b)
+standing for [[a, b], [-b*, a*]], with E_k = exp(i psi_k Z). Only the
+prefixes P_k = E_0 W ... E_{k-1} W for k < h = (d+1)/2 are built: since
+the phases are a palindrome and W is symmetric, the product is
+U = Q W Q^T with Q = P_{h-1} E_{h-1}, and every suffix is S_k = P_k^dag U
+because P_k S_k = U. The derivative insertion at angle k is then
+(P_k iZ P_k^dag U)_00, and the insertions at k and d - k are equal (one is
+the transpose of the other), so each Jacobian column is twice the
+insertion at its own index. The result is verified at the order-d
+nodes by `_response_batch`, which carries row 0 of the plain product of
+the full angle list and so shares neither the SU(2)-pair form nor the
+palindrome identity with the kernel it checks.
 Solutions are non-unique; no angle list is treated as ground truth.
 
 Circuit
@@ -352,37 +357,50 @@ def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
     Works on the factor sequence E_0 W E_1 ... W E_d with diagonal
     E_k = diag(e^{i psi_k}, e^{-i psi_k}). Every factor, and so every
     partial product, is in SU(2) and is kept as a pair (a, b) standing for
-    [[a, b], [-b*, a*]]. One pass builds the prefixes
-    P_k = E_0 W ... E_{k-1} W. The suffixes S_k = E_k W ... W E_d need no
-    second pass: the phases are a palindrome and W is symmetric, so
-    S_k = (P_{d-k} E_{d-k})^T. The derivative insertion is
-    d resp / d psi_k = (P_k iZ S_k)_{00}, and free angle m moves psi_m and
-    psi_{d-m}.
+    [[a, b], [-b*, a*]]. One pass of h - 1 steps, h = (d+1)/2, builds the
+    prefixes P_k = E_0 W ... E_{k-1} W for k < h only. The phases are a
+    palindrome and W is symmetric, so with Q = P_{h-1} E_{h-1} the full
+    product is U = Q W Q^T, and each suffix S_k = E_k W ... W E_d is
+    P_k^dag U. The derivative insertion d resp / d psi_k = (P_k iZ S_k)_00
+    is therefore i[(|a_k|^2 - |b_k|^2) U_00 + 2 a_k b_k U_01*]. Free angle m
+    moves psi_m and psi_{d-m}, whose insertions are equal (the one at d - m
+    is the transpose of the one at m), so column m is twice the insertion
+    at k = m.
     """
-    psis = _sym_angles(free)
-    d = psis.size - 1
     half = free.size
     iroot = 1j * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-    rot = np.exp(1j * psis)[:, None]  # (d+1, 1): E_k = diag(rot, rot*)
+    rot = np.exp(1j * free)[:, None]  # (h, 1): E_k = diag(rot, rot*)
     con = rot.conjugate()
-    # P_{k+1} = P_k E_k W with W = (x, i sqrt(1-x^2)) maps (a, b) linearly
-    xr, ic, ir, xc = x * rot, iroot * con, iroot * rot, x * con
+    # P_{k+1} = P_k E_k W maps (a, b) to (a x e + b iy e*, a iy e + b x e*),
+    # that is diag_k * (a, b) + anti_k * (b, a)
+    diag = np.empty((half - 1, 2, x.size), dtype=complex)
+    anti = np.empty((half - 1, 2, x.size), dtype=complex)
+    np.multiply(x, rot[:-1], out=diag[:, 0])
+    np.multiply(x, con[:-1], out=diag[:, 1])
+    np.multiply(iroot, con[:-1], out=anti[:, 0])
+    np.multiply(iroot, rot[:-1], out=anti[:, 1])
 
-    pa = np.empty((d + 1, x.size), dtype=complex)
-    pb = np.empty((d + 1, x.size), dtype=complex)
-    pa[0] = 1.0
-    pb[0] = 0.0
-    for k in range(d):
-        pa[k + 1] = xr[k] * pa[k] + ic[k] * pb[k]
-        pb[k + 1] = ir[k] * pa[k] + xc[k] * pb[k]
-    qa = pa * rot  # Q_k = P_k E_k
-    qb = pb * con
+    prefix = np.empty((half, 2, x.size), dtype=complex)  # row k: (a_k, b_k)
+    prefix[0, 0] = 1.0
+    prefix[0, 1] = 0.0
+    swapped = np.empty((2, x.size), dtype=complex)
+    for dk, ak, cur, nxt in zip(diag, anti, prefix, prefix[1:]):
+        np.multiply(dk, cur, out=nxt)
+        np.multiply(ak, cur[::-1], out=swapped)
+        nxt += swapped
+    a, b = prefix[:, 0], prefix[:, 1]
 
-    r = qa[d].real - target
-    # (S_k)_{00} = (Q_{d-k})_{00} and (S_k)_{10} = (Q_{d-k})_{01}
-    deriv = (1j * (pa * qa[::-1] - pb * qb[::-1])).real
-    jac = (deriv[:half] + deriv[: d - half: -1]).T
-    return r, jac
+    qa, qb = a[-1] * rot[-1], b[-1] * con[-1]  # Q = P_{h-1} E_{h-1}
+    # row 0 of U = Q W Q^T, which fixes the SU(2) element
+    u00 = x * (qa * qa + qb * qb) + 2.0 * iroot * qa * qb
+    u01 = (x * (qb * qa.conjugate() - qa * qb.conjugate())
+           + iroot * (np.abs(qa) ** 2 - np.abs(qb) ** 2))
+
+    r = u00.real - target
+    # Re(i z) = -Im z for each insertion, doubled for the mirrored angle
+    ins = (a * b) * (2.0 * u01.conjugate())
+    deriv = (np.abs(a) ** 2 - np.abs(b) ** 2) * u00.imag + ins.imag
+    return r, -2.0 * deriv.T
 
 
 def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:

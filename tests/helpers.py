@@ -64,17 +64,15 @@ def model_with_innovation(rng: np.random.Generator, spectrum, steps: int):
             rng.standard_normal((steps, 1)), rng.standard_normal((steps, n)))
 
 
-def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
-    """Reference phase-solver residual and Jacobian from stacked 2x2 products.
+def stacked_insertions(psis: np.ndarray, x: np.ndarray):
+    """Reference response and derivative insertions from stacked 2x2 products.
 
-    The straightforward form of `inversion._residual_and_jac`: one loop
-    builds the suffixes E_k W ... E_d, a second the prefixes
-    E_0 W ... E_{k-1} W, and each free angle's column sums the derivative
-    insertions (prefix[k] @ iZ @ suffix[k])[0, 0] at k = m and k = d - m.
+    For any angle vector psi_0..psi_d (no symmetry assumed): one loop builds
+    the suffixes E_k W ... E_d, a second the prefixes E_0 W ... E_{k-1} W.
+    Returns the response <0|U|0>, shape (n,), and the insertions
+    d resp / d psi_k = (prefix[k] @ iZ @ suffix[k])[0, 0], shape (d+1, n).
     """
-    psis = np.concatenate([free, free[::-1]])
     d = psis.size - 1
-    half = free.size
     n = x.size
     root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
     w = np.empty((n, 2, 2), dtype=complex)
@@ -96,14 +94,25 @@ def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray
     for k in range(d):
         prefix[k + 1] = (prefix[k] * rots[k][None, None, :]) @ w
 
-    r = suffix[0][:, 0, 0].real - target
-    jac = np.empty((n, half))
-    for m in range(half):
-        deriv = np.zeros(n, dtype=complex)
-        for k in (m, d - m):
-            deriv += 1j * (prefix[k][:, 0, 0] * suffix[k][:, 0, 0]
-                           - prefix[k][:, 0, 1] * suffix[k][:, 1, 0])
-        jac[:, m] = deriv.real
+    insertions = 1j * (prefix[:, :, 0, 0] * suffix[:, :, 0, 0]
+                       - prefix[:, :, 0, 1] * suffix[:, :, 1, 0])
+    return suffix[0][:, 0, 0], insertions
+
+
+def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
+    """Reference phase-solver residual and Jacobian from stacked 2x2 products.
+
+    The straightforward form of `inversion._residual_and_jac`: each free
+    angle's column sums the `stacked_insertions` at k = m and k = d - m,
+    with no use of the palindrome identity.
+    """
+    psis = np.concatenate([free, free[::-1]])
+    d = psis.size - 1
+    resp, insertions = stacked_insertions(psis, x)
+    r = resp.real - target
+    jac = np.empty((x.size, free.size))
+    for m in range(free.size):
+        jac[:, m] = (insertions[m] + insertions[d - m]).real
     return r, jac
 
 

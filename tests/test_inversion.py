@@ -6,6 +6,7 @@ from helpers import (
     fraction_series_one_over_x,
     philox,
     rand_with_sigma,
+    stacked_insertions,
     stacked_residual_and_jac,
     stacked_response,
 )
@@ -202,8 +203,9 @@ def test_solver_rescales_oversized_targets():
 def test_solver_inverse_poly_sweep(kappa, eps):
     # degrees 23..185, plus 283 (kappa 14.3), the top of the margin
     # policy's range: exact Newton from the standard start takes 16 steps
-    # on each of these (a Jacobian with its mirrored terms halved takes
-    # 24-25), and the response matches p on a dense grid
+    # on each of these (the kernel computes the insertion at k once and
+    # doubles it for its mirror d - k, which is exact for palindromic
+    # phases), and the response matches p on a dense grid
     poly = inverse_poly(kappa, eps)
     phi = solve_phase_factors(poly)
     assert phi.degree == poly.degree
@@ -214,9 +216,9 @@ def test_solver_inverse_poly_sweep(kappa, eps):
                                np.asarray(eval_cheb(poly, xs)), atol=1e-8)
 
 
-@pytest.mark.parametrize("degree", [1, 3, 9, 57, 105, 283])
+@pytest.mark.parametrize("degree", [1, 3, 9, 57, 105, 283, 415])
 def test_residual_and_jac_match_stacked_products(degree):
-    # the SU(2)-pair kernel against the stacked 2x2 reference, and two
+    # the half-length kernel against the stacked 2x2 reference, and two
     # Jacobian columns against central differences
     rng = philox(degree)
     half = (degree + 1) // 2
@@ -236,6 +238,25 @@ def test_residual_and_jac_match_stacked_products(degree):
         down, _ = inversion._residual_and_jac(free - step, nodes, target)
         np.testing.assert_allclose(jac[:, m], (up - down) / (2 * h),
                                    rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("degree", [1, 9, 57, 283])
+def test_mirrored_insertions_are_equal(degree):
+    # the identity the kernel's doubled Jacobian columns rest on, checked on
+    # the stacked reference alone: for palindromic phases the insertion at
+    # k = d - m equals the one at k = m
+    rng = philox(300 + degree)
+    half = (degree + 1) // 2
+    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    free = rng.uniform(-np.pi, np.pi, half)
+    _, ins = stacked_insertions(np.concatenate([free, free[::-1]]), nodes)
+    np.testing.assert_allclose(ins[:half], ins[::-1][:half], rtol=0, atol=1e-12)
+    if degree > 1:
+        # a skewed angle vector breaks it (at degree 1 both insertions are
+        # i U_00 for any angles, since <0|Z = <0| and Z|0> = |0>)
+        skewed = np.concatenate([free, free[::-1] + rng.uniform(0.1, 0.5, half)])
+        _, ins = stacked_insertions(skewed, nodes)
+        assert np.max(np.abs(ins[:half] - ins[::-1][:half])) > 1e-3
 
 
 @pytest.mark.parametrize("convention", ["wx", "reflection"])

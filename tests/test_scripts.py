@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end and print their rows."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import numpy as np
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str) -> list[str]:
-    done = subprocess.run([sys.executable, str(SCRIPTS / name)],
+def run_script(name: str, *args: str) -> list[str]:
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -37,3 +38,23 @@ def test_shot_noise_ladder_climbs_the_shot_ladder():
     assert np.all(np.diff(rows[:, 1]) < 0)  # error falls with more shots
     scaled = rows[:, 2]
     assert scaled.max() < 3 * scaled.min()  # 1/sqrt(shots) scaling
+
+
+def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
+    out = tmp_path / "BENCH_phase_solver.json"
+    lines = run_script("phase_solver_sweep.py", "--out", str(out), "--repeats", "1")
+    assert lines[-1].endswith(str(out))
+    report = json.loads(out.read_text())
+    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    rows = report["rows"]
+    assert [(r["kappa"], r["eps_prime"]) for r in rows] == [
+        (k, e) for k in (1.5, 2.0, 3.5, 5.0, 8.0, 12.0, 14.3, 20.0)
+        for e in (1e-2, 1e-3)]
+    # kappa 20 at eps' 1e-3 needs degree 515, above the default cap 501
+    failed = [(r["kappa"], r["eps_prime"]) for r in rows if "error" in r]
+    assert failed == [(20.0, 1e-3)]
+    for r in rows:
+        if "error" not in r:
+            assert r["iterations"] <= 20
+            assert r["residual"] <= 1e-6
+            assert 0 <= r["kernel_ms"] + r["solve_ms"] <= r["total_ms"]
