@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Cold phase-solver sweep: Newton steps, residual and where the time goes.
 
-    python scripts/phase_solver_sweep.py [--out BENCH_phase_solver.json] [--repeats 5]
+    python scripts/phase_solver_sweep.py [--out BENCH_phase_solver.json]
 
 For each kappa in {1.5, 2, 3.5, 5, 8, 12, 14.3, 20} and eps' in {1e-2, 1e-3}
-it builds `inverse_poly(kappa, eps')` and solves its phases cold (both
-inversion caches cleared before every solve), `--repeats` times. Per point
-it records the degree, Newton iterations, verification residual and the
-median over repeats of the solve's total ms, of the ms spent in the
-residual/Jacobian kernel and of the ms spent in `np.linalg.solve`, plus
-the worst repeat's `np.linalg.solve` ms, where BLAS thread stalls show.
+it clears both inversion caches, builds `inverse_poly(kappa, eps')` and
+solves its phases cold (the phase cache cleared before every solve),
+REPEATS times. Per point it records the degree, Newton iterations,
+verification residual and the median over repeats of the solve's total
+ms, of the ms spent in the residual/Jacobian kernel and of the ms spent
+in `np.linalg.solve`, plus the worst repeat's `np.linalg.solve` ms, where
+BLAS thread stalls show; the summary sums the medians and keeps the
+largest of those worst repeats.
 The inner timings come from wrappers this script installs around
 `inversion._residual_and_jac` and `np.linalg.solve`; the package is not
 changed. A point whose polynomial needs more than the default degree cap
 gets an `error` row instead. `OPENBLAS_NUM_THREADS` is recorded as found:
 set it on the command line to compare thread counts, e.g.
 
-    OPENBLAS_NUM_THREADS=1 python scripts/phase_solver_sweep.py --out /tmp/t1.json
+    OPENBLAS_NUM_THREADS=1 python scripts/phase_solver_sweep.py --out t1.json
 """
 
 import argparse
@@ -38,6 +40,7 @@ from qkalman.errors import QkError  # noqa: E402
 
 KAPPAS = (1.5, 2.0, 3.5, 5.0, 8.0, 12.0, 14.3, 20.0)
 EPS_PRIMES = (1e-2, 1e-3)
+REPEATS = 5
 
 
 class Timed:
@@ -56,9 +59,8 @@ class Timed:
 
 
 def cold_solve(poly, kernel: Timed, solve: Timed):
-    """One solve with both caches empty: (phases, total, kernel, solve) in ms."""
+    """One solve with the phase cache empty: (phases, total, kernel, solve) in ms."""
     inversion._solve_cache.clear()
-    inversion.inverse_poly.cache_clear()
     kernel.seconds = solve.seconds = 0.0
     t0 = time.perf_counter()
     phi = inversion.solve_phase_factors(poly)
@@ -66,7 +68,7 @@ def cold_solve(poly, kernel: Timed, solve: Timed):
     return phi, 1e3 * total, 1e3 * kernel.seconds, 1e3 * solve.seconds
 
 
-def sweep(repeats: int) -> list[dict]:
+def sweep() -> list[dict]:
     kernel = Timed(inversion._residual_and_jac)
     solve = Timed(np.linalg.solve)
     inversion._residual_and_jac = kernel
@@ -76,9 +78,11 @@ def sweep(repeats: int) -> list[dict]:
         for kappa in KAPPAS:
             for eps in EPS_PRIMES:
                 row = {"kappa": kappa, "eps_prime": eps}
+                inversion.inverse_poly.cache_clear()
+                inversion._solve_cache.clear()
                 try:
                     poly = inversion.inverse_poly(kappa, eps)
-                    runs = [cold_solve(poly, kernel, solve) for _ in range(repeats)]
+                    runs = [cold_solve(poly, kernel, solve) for _ in range(REPEATS)]
                 except QkError as exc:
                     row["error"] = f"{type(exc).__name__}: {exc}"
                     rows.append(row)
@@ -102,14 +106,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path,
                         default=ROOT / "BENCH_phase_solver.json")
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    rows = sweep(args.repeats)
+    rows = sweep()
     solved = [r for r in rows if "error" not in r]
     totals = {key: sum(r[key] for r in solved)
-              for key in ("total_ms", "kernel_ms", "solve_ms", "other_ms",
-                          "solve_ms_max")}
+              for key in ("total_ms", "kernel_ms", "solve_ms", "other_ms")}
     report = {
         "environment": {
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -118,11 +120,12 @@ def main() -> int:
             "machine": platform.machine(),
             "cpus": len(os.sched_getaffinity(0)),
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "summary": {
             **totals,
             "kernel_share": totals["kernel_ms"] / totals["total_ms"],
             "solve_share": totals["solve_ms"] / totals["total_ms"],
+            "solve_ms_max": max(r["solve_ms_max"] for r in solved),
         },
         "rows": rows,
     }
@@ -138,7 +141,7 @@ def main() -> int:
               f"{r['kernel_ms']:>7.1f} {r['solve_ms']:>7.1f}")
     s = report["summary"]
     print(f"total {s['total_ms']:.1f} ms: kernel {s['kernel_share']:.0%}, "
-          f"solve {s['solve_share']:.0%} (worst repeats {s['solve_ms_max']:.1f} ms); "
+          f"solve {s['solve_share']:.0%} (worst repeat {s['solve_ms_max']:.1f} ms in solve); "
           f"wrote {args.out}")
     return 0
 

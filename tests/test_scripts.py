@@ -42,7 +42,7 @@ def test_shot_noise_ladder_climbs_the_shot_ladder():
 
 def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
     out = tmp_path / "BENCH_phase_solver.json"
-    lines = run_script("phase_solver_sweep.py", "--out", str(out), "--repeats", "1")
+    lines = run_script("phase_solver_sweep.py", "--out", str(out))
     assert lines[-1].endswith(str(out))
     report = json.loads(out.read_text())
     assert "OPENBLAS_NUM_THREADS" in report["environment"]
