@@ -185,15 +185,16 @@ def parse_config(text: str) -> RunConfig:
     if "iterations" in doc:
         kwargs["iterations"] = _as_int(doc["iterations"], "iterations", minimum=1)
     if "seed" in doc:
-        kwargs["seed"] = _as_int(doc["seed"], "seed")
+        kwargs["seed"] = _as_int(doc["seed"], "seed", minimum=0)
     else:
         env = os.environ.get("QKALMAN_SEED")
         if env is not None:
             try:
-                kwargs["seed"] = int(env)
+                seed = int(env)
             except ValueError:
                 raise ConfigError(
                     f"QKALMAN_SEED: expected an integer, got {env!r}") from None
+            kwargs["seed"] = _as_int(seed, "QKALMAN_SEED", minimum=0)
     if "kappa" in doc and doc["kappa"] is not None:
         kappa = _as_float(doc["kappa"], "kappa")
         if not kappa > 1:

@@ -41,6 +41,7 @@ uninvertible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -442,14 +443,18 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
     Returns (trajectory, ledger); trajectory[0] is the initial state.
     Readout is an exact decode by default; "sampled" draws seeded shots
     and estimates entries as alpha*sqrt(frequency) with exact-amplitude
-    signs. A sampled step whose state estimate draws no counts at all
-    aborts with the partial trajectory attached.
+    signs; its seed must be a nonnegative integer, checked before any
+    step runs. A sampled step whose state estimate draws no counts at
+    all aborts with the partial trajectory attached.
     """
     if readout_mode not in ("exact", "sampled"):
         raise ConfigError(f"readout_mode must be exact or sampled, "
                           f"got {readout_mode!r}")
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
+    if readout_mode == "sampled" and not (
+            isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if kappa_policy is None:
         kappa_policy = KappaPolicy.margin(1.1)
     n, c, m = model.state_dim, model.control_dim, model.obs_dim

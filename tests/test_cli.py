@@ -15,6 +15,7 @@ from qkalman.cli import (
     run_report,
 )
 from qkalman.errors import ConfigError
+from qkalman.kalman import q_filter_run
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "worked_example.yaml")
@@ -100,6 +101,30 @@ def test_seed_falls_back_to_environment(monkeypatch):
     assert parse_config(mini_config()).seed == 0
     config = parse_config(mini_config(seed=7))
     assert config.seed == 7
+
+
+@pytest.mark.parametrize("field", ["seed", "QKALMAN_SEED"])
+def test_negative_seed_is_a_config_error(field, tmp_path, monkeypatch, capsys):
+    # a sampled run must stop at the config, not at its first draw
+    doc = dict(steps=1, kappa=3.5, readout_mode="sampled")
+    if field == "seed":
+        doc["seed"] = -5
+    else:
+        monkeypatch.setenv("QKALMAN_SEED", "-3")
+    config_path = tmp_path / "neg.yaml"
+    config_path.write_text(mini_config(**doc))
+    assert main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be >= 0")
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, (1, 2)])
+def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
+    config = parse_config(mini_config())
+    # no controls for the one step: the seed check must come first
+    with pytest.raises(ConfigError, match="seed"):
+        q_filter_run(config.model, config.init, [], [], 1, "sampled",
+                     seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,15 @@ def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
             assert r["iterations"] <= 20
             assert r["residual"] <= 1e-6
             assert 0 <= r["kernel_ms"] + r["solve_ms"] <= r["total_ms"]
+
+
+def test_sampling_sweep_writes_a_row_per_point(tmp_path):
+    out = tmp_path / "BENCH_sampling.json"
+    lines = run_script("sampling_sweep.py", "--out", str(out))
+    assert lines[-1].endswith(str(out))
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["outcomes"], r["iterations"]) for r in rows] == [
+        (o, i) for o in (3, 5) for i in (1, 10, 100, 1000)]
+    for r in rows:
+        assert r["identical_counts"]
+        assert r["pooled_ms"] > 0 and r["reference_ms"] > 0
