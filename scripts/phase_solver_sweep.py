@@ -4,8 +4,8 @@
     python scripts/phase_solver_sweep.py [--out BENCH_phase_solver.json]
 
 For each kappa in {1.5, 2, 3.5, 5, 8, 12, 14.3, 20} and eps' in {1e-2, 1e-3}
-it clears both inversion caches, builds `inverse_poly(kappa, eps')` and
-solves its phases cold (the phase cache cleared before every solve),
+it clears the inversion cache, builds `inverse_poly(kappa, eps')` and
+solves its phases cold (the cache cleared before every solve),
 REPEATS times. Per point it records the degree, Newton iterations,
 verification residual and the median over repeats of the solve's total
 ms, of the ms spent in the residual/Jacobian kernel and of the ms spent
@@ -59,8 +59,8 @@ class Timed:
 
 
 def cold_solve(poly, kernel: Timed, solve: Timed):
-    """One solve with the phase cache empty: (phases, total, kernel, solve) in ms."""
-    inversion._solve_cache.clear()
+    """One solve with the cache empty: (phases, total, kernel, solve) in ms."""
+    inversion.clear_cache()
     kernel.seconds = solve.seconds = 0.0
     t0 = time.perf_counter()
     phi = inversion.solve_phase_factors(poly)
@@ -78,8 +78,7 @@ def sweep() -> list[dict]:
         for kappa in KAPPAS:
             for eps in EPS_PRIMES:
                 row = {"kappa": kappa, "eps_prime": eps}
-                inversion.inverse_poly.cache_clear()
-                inversion._solve_cache.clear()
+                inversion.clear_cache()
                 try:
                     poly = inversion.inverse_poly(kappa, eps)
                     runs = [cold_solve(poly, kernel, solve) for _ in range(REPEATS)]

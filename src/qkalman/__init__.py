@@ -44,6 +44,7 @@ from .inversion import (  # noqa: F401
     ChebPoly,
     PhaseFactors,
     be_invert,
+    clear_cache,
     eval_cheb,
     format_angles,
     inverse_poly,
@@ -52,7 +53,6 @@ from .inversion import (  # noqa: F401
     qsvt_apply,
     smoothing_order,
     solve_phase_factors,
-    to_reflection,
 )
 from .kalman import (  # noqa: F401
     FilterState,

@@ -47,7 +47,7 @@ def _extend_ancillas(be: BlockEncoding, ancillas: int):
     return Extend(be.op, total, wires)
 
 
-def be_add(be_a: BlockEncoding, be_b: BlockEncoding, label: str = "") -> BlockEncoding:
+def be_add(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     """Encode A + B via the two-term LCU combiner."""
     _require_same_system(be_a, be_b)
     s = be_a.system_qubits
@@ -67,10 +67,10 @@ def be_add(be_a: BlockEncoding, be_b: BlockEncoding, label: str = "") -> BlockEn
 
     shape = be_a.shape if be_a.shape == be_b.shape else None
     return BlockEncoding(op, alpha + beta, inner_anc + 1, s,
-                         be_a.eps + be_b.eps, label, shape)
+                         be_a.eps + be_b.eps, shape)
 
 
-def be_multiply(be_a: BlockEncoding, be_b: BlockEncoding, label: str = "") -> BlockEncoding:
+def be_multiply(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
     """Encode A @ B by concatenating ancilla registers (A's outermost)."""
     _require_same_system(be_a, be_b)
     s = be_a.system_qubits
@@ -85,23 +85,21 @@ def be_multiply(be_a: BlockEncoding, be_b: BlockEncoding, label: str = "") -> Bl
     if be_a.shape is not None and be_b.shape is not None:
         shape = (be_a.shape[0], be_b.shape[1])
     return BlockEncoding(op, be_a.alpha * be_b.alpha, a + b, s,
-                         be_a.alpha * be_b.eps + be_b.alpha * be_a.eps,
-                         label, shape)
+                         be_a.alpha * be_b.eps + be_b.alpha * be_a.eps, shape)
 
 
-def be_adjoint(be_a: BlockEncoding, label: str = "") -> BlockEncoding:
+def be_adjoint(be_a: BlockEncoding) -> BlockEncoding:
     """Encode A^dag (the transpose for real A) with unchanged bookkeeping.
 
     The operator is the `adjoint` tree of be_a.op, which copies each
     dense leaf conjugate-transposed.
     """
     shape = None if be_a.shape is None else (be_a.shape[1], be_a.shape[0])
-    return replace(be_a, op=adjoint(be_a.op), label=label or be_a.label,
-                   shape=shape)
+    return replace(be_a, op=adjoint(be_a.op), shape=shape)
 
 
-def be_negate(be_a: BlockEncoding, label: str = "") -> BlockEncoding:
+def be_negate(be_a: BlockEncoding) -> BlockEncoding:
     """Encode -A by a global pi phase on the unitary."""
     n = be_a.op.nqubits
     op = Product((ProjectorPhase(np.pi, n, ()), be_a.op))
-    return replace(be_a, op=op, label=label or be_a.label)
+    return replace(be_a, op=op)

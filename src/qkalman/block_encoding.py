@@ -52,7 +52,6 @@ class BlockEncoding:
     ancillas: int
     system_qubits: int
     eps: float = 0.0
-    label: str = ""
     shape: tuple | None = None  # pre-padding (rows, cols) for decode cropping
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ def _complete_columns(cols: np.ndarray) -> np.ndarray:
     return np.hstack([cols, q[:, k:]])
 
 
-def encode_data_structure(m, label: str = "", shape: tuple | None = None) -> BlockEncoding:
+def encode_data_structure(m, shape: tuple | None = None) -> BlockEncoding:
     """Block-encode a square matrix with alpha = ||M||_F and a = s ancillas.
 
     The operator is Product((U_L^dag, U_R)) on 2s qubits: two dense
@@ -129,10 +128,10 @@ def encode_data_structure(m, label: str = "", shape: tuple | None = None) -> Blo
     u_l = Dense(_complete_columns(ul_cols))
 
     op = Product((adjoint(u_l), u_r))
-    return BlockEncoding(op, alpha, s, s, 0.0, label, shape)
+    return BlockEncoding(op, alpha, s, s, 0.0, shape)
 
 
-def encode_svd_dilation(m_scaled, alpha: float = 1.0, label: str = "",
+def encode_svd_dilation(m_scaled, alpha: float = 1.0,
                         shape: tuple | None = None) -> BlockEncoding:
     """Single-ancilla encoding of a contraction via its SVD.
 
@@ -162,24 +161,23 @@ def encode_svd_dilation(m_scaled, alpha: float = 1.0, label: str = "",
         Dense(mid),
         Select(Dense(vh), identity_op(s)),
     ))
-    return BlockEncoding(op, alpha, 1, s, 0.0, label, shape)
+    return BlockEncoding(op, alpha, 1, s, 0.0, shape)
 
 
-def encode_zero(s: int, alpha: float = 1.0, ancillas: int | None = None,
-                label: str = "", shape: tuple | None = None) -> BlockEncoding:
+def encode_zero(s: int, alpha: float = 1.0,
+                shape: tuple | None = None) -> BlockEncoding:
     """Encoding of the zero matrix (the Frobenius constructors reject it).
 
-    An X gate on the leading ancilla makes the <0...0| block vanish
-    identically; alpha is free (alpha * 0 = 0) and defaults to 1 so
-    downstream product/sum bookkeeping stays positive.
+    s ancillas, like the data-structure encoding. An X gate on the
+    leading ancilla makes the <0...0| block vanish identically; alpha is
+    free (alpha * 0 = 0) and defaults to 1 so downstream product/sum
+    bookkeeping stays positive.
     """
-    if ancillas is None:
-        ancillas = s
-    if ancillas < 1:
+    if s < 1:
         raise DimensionError("zero encoding needs at least one ancilla")
     flip = Dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    op = Extend(flip, ancillas + s, (0,))
-    return BlockEncoding(op, alpha, ancillas, s, 0.0, label, shape)
+    op = Extend(flip, 2 * s, (0,))
+    return BlockEncoding(op, alpha, s, s, 0.0, shape)
 
 
 def decode(be: BlockEncoding) -> np.ndarray:

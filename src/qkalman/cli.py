@@ -408,7 +408,8 @@ def _cmd_invert(args) -> int:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"inversion needs a square matrix, got {mat.shape}")
     be = _encode_padded(mat)
-    inv = be_invert(be, args.kappa, args.eps, degree_cap=args.degree_cap)
+    poly = inverse_poly(args.kappa, args.eps, args.degree_cap)
+    inv = be_invert(be, poly, solve_phase_factors(poly))
     block = decode(inv)
     out = {
         "kappa": args.kappa,

@@ -54,13 +54,16 @@ Solutions are non-unique; no angle list is treated as ground truth.
 
 Circuit
 -------
-The circuit uses the reflection convention: projector phases
-exp(i*phi*(2P - I)) on the input encoding's ancilla wires alternate with
-U and U^dag (d applications, d+1 phases). W_x phases convert by
-subtracting pi/4 at the ends and pi/2 in the interior, with a global
-phase i^d. The response's imaginary part is removed by averaging the
-Phi and -Phi circuits behind one Hadamard-combined ancilla, so
-a_out = a_in + 1.
+Outside the circuit builder, phases are W_x phases only. The circuit
+alternates projector phases exp(i*phi*(2P - I)) on the input encoding's
+ancilla wires with U and U^dag (d applications, d+1 phases), at the
+reflection angles `_reflection_angles` derives (pi/4 off each end, pi/2
+off the interior), under a global phase i^d. The response's imaginary
+part is removed by averaging the Phi and -Phi circuits behind one
+Hadamard-combined ancilla, so a_out = a_in + 1.
+
+Polynomials and phase lists share one LRU cache of _CACHE_SIZE entries;
+a hit returns the object built before, and `clear_cache()` empties it.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,7 +96,27 @@ from .tensor_ops import (
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
 _NEWTON_TOL = 1e-12  # node residual at which Newton stops early
 _NEWTON_MAXITER = 50
-_CACHE_SIZE = 32  # entries kept by the polynomial and the phase cache each
+_CACHE_SIZE = 32  # entries kept by the one cache, polynomials and phases together
+
+_cache: OrderedDict = OrderedDict()  # least recently used first
+
+
+def _cached(key, build):
+    """The value stored under key, or build() stored there; a hit refreshes it."""
+    hit = _cache.get(key)
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit
+    value = build()
+    _cache[key] = value
+    if len(_cache) > _CACHE_SIZE:
+        _cache.popitem(last=False)
+    return value
+
+
+def clear_cache():
+    """Forget every cached polynomial and phase list."""
+    _cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +144,6 @@ class ChebPoly:
             raise ParityError(f"degree must be odd, got {self.degree}")
         if len(self.odd_coeffs) != (self.degree + 1) // 2:
             raise DimensionError("coefficient count does not match degree")
-
-    @property
-    def full_coeffs(self) -> np.ndarray:
-        """Coefficients c_0..c_d with zeros at even positions."""
-        full = np.zeros(self.degree + 1)
-        full[1::2] = self.odd_coeffs
-        return full
 
 
 def _clenshaw_odd(odd_coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,27 +227,34 @@ def smoothing_order(kappa: float, eps_prime: float) -> int:
     return math.ceil(kappa**2 * math.log(kappa / eps_prime))
 
 
+def _normalized(odd: np.ndarray, kappa: float, err: float) -> ChebPoly:
+    """The series over its peak (with the margin), err its unscaled error."""
+    scale = _series_max(odd) / (1.0 - _MARGIN)
+    return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale)
+
+
 def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebPoly:
     """Truncation of the fixed-b series at a caller-chosen odd degree."""
     if degree % 2 == 0:
         raise ParityError(f"degree must be odd, got {degree}")
     b = smoothing_order(kappa, eps_prime)
     odd = _odd_series_one_over_x(b, (degree + 1) // 2)
-    d = 2 * odd.size - 1
-    scale = _series_max(odd) / (1.0 - _MARGIN)
-    err = _measured_error(odd, kappa)
-    return ChebPoly(odd / scale, d, kappa, scale, err / scale)
+    return _normalized(odd, kappa, _measured_error(odd, kappa))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebPoly:
     """Odd polynomial with scale*p(x) ~= 1/x to eps' on [1/kappa, 1].
 
     Degree comes from the sufficient truncation bound; the achieved
     (unscaled) error is re-measured on a dense grid and the degree is
     bumped in steps of two if the measurement misses eps', failing with
-    an approximation error at the degree cap.
+    an approximation error at the degree cap. Cached on the arguments.
     """
+    return _cached(("inverse_poly", kappa, eps_prime, degree_cap),
+                   lambda: _build_inverse_poly(kappa, eps_prime, degree_cap))
+
+
+def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> ChebPoly:
     if not kappa > 1:
         raise ApproximationError(f"kappa must exceed 1, got {kappa}")
     if not 0 < eps_prime < 1:
@@ -254,8 +276,7 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
                 f"tolerance {eps_prime} unattained at degree cap "
                 f"{degree_cap} (err {err:.3g})"
             )
-    scale = _series_max(odd) / (1.0 - _MARGIN)
-    return ChebPoly(odd / scale, d, kappa, scale, err / scale)
+    return _normalized(odd, kappa, err)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +285,14 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
 
 @dataclass(frozen=True)
 class PhaseFactors:
-    """Angle sequence for the signal-processing circuit.
+    """W_x phases psi_0..psi_d of the signal-processing circuit.
 
-    convention "wx" uses the W(x) rotation form; "reflection" uses the
-    projector-phase circuit form (its response includes the i^d global
-    phase so both conventions report the same polynomial). residual
-    records the max verification residual at the order-d nodes and
-    iterations the Newton steps taken, when the phases came from
+    residual records the max verification residual at the order-d nodes
+    and iterations the Newton steps taken, when the phases came from
     solve_phase_factors.
     """
 
     angles: np.ndarray
-    convention: str = "wx"
     residual: float = 0.0
     iterations: int = 0
 
@@ -285,8 +302,6 @@ class PhaseFactors:
             raise DimensionError("need at least two angles")
         if not np.all(np.isfinite(a)):
             raise DimensionError("angles must be finite")
-        if self.convention not in ("wx", "reflection"):
-            raise DimensionError(f"unknown convention {self.convention!r}")
         object.__setattr__(self, "angles", a)
 
     @property
@@ -294,39 +309,21 @@ class PhaseFactors:
         return self.angles.size - 1
 
 
-def to_reflection(phi: PhaseFactors) -> PhaseFactors:
-    """Convert W_x phases to reflection phases (ends -pi/4, interior -pi/2)."""
-    if phi.convention == "reflection":
-        return phi
-    a = phi.angles.copy()
-    a[0] -= np.pi / 4
-    a[-1] -= np.pi / 4
-    if a.size > 2:
-        a[1:-1] -= np.pi / 2
-    return PhaseFactors(a, "reflection", phi.residual, phi.iterations)
-
-
-def _response_batch(angles: np.ndarray, x: np.ndarray, convention: str) -> np.ndarray:
+def _response_batch(angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     """<0|U|0> of the alternating rotation product, vectorized over x.
 
-    Carries row 0 of the running product as (a, b): each signal matrix
-    maps it to (a s00 + b s10, a s01 + b s11), then the rotation scales
-    a by e^{i psi} and b by e^{-i psi}.
+    Carries row 0 of the running product as (a, b): each W(x) maps it to
+    (a x + b i sqrt(1-x^2), a i sqrt(1-x^2) + b x), then the rotation
+    scales a by e^{i psi} and b by e^{-i psi}.
     """
     x = np.asarray(x, dtype=float)
-    root = np.sqrt(np.clip(1.0 - x**2, 0.0, None))
-    if convention == "wx":
-        s00, s01, s10, s11 = x, 1j * root, 1j * root, x
-        prefactor = 1.0 + 0j
-    else:
-        s00, s01, s10, s11 = x, root, root, -x
-        prefactor = 1j ** ((angles.size - 1) % 4)
+    iroot = 1j * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
     rot = np.exp(1j * angles)
     a = np.full(x.shape, rot[0])
     b = np.zeros(x.shape, dtype=complex)
     for e in rot[1:]:
-        a, b = (a * s00 + b * s10) * e, (a * s01 + b * s11) * e.conjugate()
-    return prefactor * a
+        a, b = (a * x + b * iroot) * e, (a * iroot + b * x) * e.conjugate()
+    return a
 
 
 def qsp_response(phi: PhaseFactors, x):
@@ -335,16 +332,13 @@ def qsp_response(phi: PhaseFactors, x):
     if np.any(np.abs(arr) > 1 + 1e-12):
         bad = float(arr.flat[int(np.argmax(np.abs(arr)))])
         raise SigmaRangeError(bad, -1.0, 1.0)
-    out = _response_batch(phi.angles, arr, phi.convention)
+    out = _response_batch(phi.angles, arr)
     return out if np.ndim(x) else complex(out[0])
 
 
 # ---------------------------------------------------------------------------
 # phase solving
 # ---------------------------------------------------------------------------
-
-_solve_cache: OrderedDict = OrderedDict()  # least recently used first
-
 
 def _sym_angles(free: np.ndarray) -> np.ndarray:
     """Full symmetric angle vector (psi_k = psi_{d-k}) for odd degree."""
@@ -412,17 +406,15 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
     singular or non-finite, or if the node residual is still above 1e-8
     after the iteration budget. The result is verified at the order-d
     Chebyshev nodes to 1e-6 before returning; SolverError (with the
-    final residual) otherwise.
+    final residual) otherwise. Cached on the polynomial's degree and
+    coefficients (rounded to 14 decimals).
     """
-    d = poly.degree
-    if d % 2 == 0:
-        raise ParityError(f"only odd degrees are handled, got {d}")
-    key = (d, poly.odd_coeffs.round(14).tobytes())
-    cached = _solve_cache.get(key)
-    if cached is not None:
-        _solve_cache.move_to_end(key)
-        return cached
+    key = ("phases", poly.degree, poly.odd_coeffs.round(14).tobytes())
+    return _cached(key, lambda: _solve(poly))
 
+
+def _solve(poly: ChebPoly) -> PhaseFactors:
+    d = poly.degree  # odd, as ChebPoly enforces
     grid = np.linspace(-1.0, 1.0, 4001)
     peak = float(np.max(np.abs(eval_cheb(poly, grid))))
     coeffs = poly.odd_coeffs
@@ -463,37 +455,45 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
 
     angles = _sym_angles(free)
     check_nodes = np.cos((2 * np.arange(1, d + 1) - 1) * np.pi / (2 * d))
-    resp = _response_batch(angles, check_nodes, "wx")
+    resp = _response_batch(angles, check_nodes)
     residual = float(np.max(np.abs(resp.real - eval_cheb(poly, check_nodes))))
     if residual > 1e-6:
         raise SolverError(
             f"verification residual {residual:.3g} exceeds 1e-6 at order-{d} nodes",
             residual=residual)
-    phi = PhaseFactors(angles, "wx", residual, iterations)
-    _solve_cache[key] = phi
-    if len(_solve_cache) > _CACHE_SIZE:
-        _solve_cache.popitem(last=False)
-    return phi
+    return PhaseFactors(angles, residual, iterations)
 
 
 # ---------------------------------------------------------------------------
 # the transformation circuit
 # ---------------------------------------------------------------------------
 
-def _qsvt_circuit(be: BlockEncoding, refl_angles: np.ndarray):
+def _reflection_angles(angles: np.ndarray) -> np.ndarray:
+    """W_x phases as projector phases: pi/4 off each end, pi/2 off the interior."""
+    refl = angles.copy()
+    refl[0] -= np.pi / 4
+    refl[-1] -= np.pi / 4
+    refl[1:-1] -= np.pi / 2
+    return refl
+
+
+def _qsvt_circuit(be: BlockEncoding, angles: np.ndarray):
     """Product tree: global i^d, then alternating projector phases and U/U^dag.
 
-    U^dag is one `adjoint` tree, shared by every position that applies it.
+    `angles` are W_x phases; the projector phases are their reflection
+    angles. U^dag is one `adjoint` tree, shared by every position that
+    applies it.
     """
     n = be.op.nqubits
     anc = tuple(range(be.ancillas))
-    d = refl_angles.size - 1
+    refl = _reflection_angles(angles)
+    d = refl.size - 1
     u_dag = adjoint(be.op)
     children = [ProjectorPhase((d % 4) * np.pi / 2, n, ())]  # global i^d
-    children.append(ProjectorPhase(refl_angles[0], n, anc))
+    children.append(ProjectorPhase(refl[0], n, anc))
     for k in range(1, d + 1):
         children.append(be.op if k % 2 == 1 else u_dag)
-        children.append(ProjectorPhase(refl_angles[k], n, anc))
+        children.append(ProjectorPhase(refl[k], n, anc))
     return Product(tuple(children))
 
 
@@ -514,12 +514,9 @@ def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
     if sig_max > 1 + 1e-10:
         raise SigmaRangeError(sig_max, 0.0, 1.0)
 
-    if phi.convention != "wx":
-        raise DimensionError("qsvt_apply expects W_x phases")
     n = be_a.op.nqubits
-    plus = _qsvt_circuit(be_a, to_reflection(phi).angles)
-    minus = _qsvt_circuit(
-        be_a, to_reflection(PhaseFactors(-phi.angles, "wx")).angles)
+    plus = _qsvt_circuit(be_a, phi.angles)
+    minus = _qsvt_circuit(be_a, -phi.angles)
     h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     op = Product((
         Extend(h, n + 1, (0,)),
@@ -527,17 +524,19 @@ def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
         Extend(h, n + 1, (0,)),
     ))
     return BlockEncoding(op, 1.0, be_a.ancillas + 1, be_a.system_qubits,
-                         0.0, be_a.label, be_a.shape)
+                         0.0, be_a.shape)
 
 
-def be_invert(be_a: BlockEncoding, kappa: float, eps_prime: float,
-              degree_cap: int = 501, poly: ChebPoly | None = None,
-              phi: PhaseFactors | None = None) -> BlockEncoding:
-    """Block-encode A^{-1} by polynomial inversion of the singular values.
+def be_invert(be_a: BlockEncoding, poly: ChebPoly,
+              phi: PhaseFactors) -> BlockEncoding:
+    """Block-encode A^{-1} by the transform of poly, whose phases are phi.
 
-    The decoded input block must have singular values in [1/kappa, 1].
-    alpha_out = scale / alpha_in (the kappa*beta over alpha bookkeeping),
-    eps_out = achieved scaled polynomial error times alpha_out.
+    poly is a 1/x approximant such as `inverse_poly` builds and phi its
+    phases (`solve_phase_factors(poly)`); both are applied as given. The
+    decoded input block must have singular values in [1/poly.kappa, 1].
+    alpha_out = poly.scale / alpha_in (the kappa*beta over alpha
+    bookkeeping), eps_out = poly.eps_prime (the achieved scaled
+    polynomial error) times alpha_out.
 
     An odd singular-value transform of W S Vh lands on W p(S) Vh, which for
     p(x) ~ 1/x is the adjoint of the inverse. The phases are therefore run
@@ -546,19 +545,14 @@ def be_invert(be_a: BlockEncoding, kappa: float, eps_prime: float,
     """
     block = decode(be_a) / be_a.alpha
     _, sigma, _ = svd(block)
-    lo, hi = 1.0 / kappa, 1.0
+    lo = 1.0 / poly.kappa
     for s in sigma:
-        if s < lo - 1e-12 or s > hi + 1e-12:
-            raise SigmaRangeError(float(s), lo, hi)
-    if poly is None:
-        poly = inverse_poly(kappa, eps_prime, degree_cap)
-    if phi is None:
-        phi = solve_phase_factors(poly)
+        if s < lo - 1e-12 or s > 1.0 + 1e-12:
+            raise SigmaRangeError(float(s), lo, 1.0)
     out = qsvt_apply(be_adjoint(be_a), phi)
     alpha_out = poly.scale / be_a.alpha
-    eps_out = poly.eps_prime * alpha_out
     return BlockEncoding(out.op, alpha_out, out.ancillas, out.system_qubits,
-                         eps_out, be_a.label, be_a.shape)
+                         poly.eps_prime * alpha_out, be_a.shape)
 
 
 def format_angles(phi: PhaseFactors) -> str:

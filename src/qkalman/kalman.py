@@ -264,22 +264,22 @@ def classical_step(model: KalmanModel, state: FilterState, u, z) -> FilterState:
 # encoding helpers
 # ---------------------------------------------------------------------------
 
-def encode_matrix(mat, s: int, label: str = "") -> BlockEncoding:
+def encode_matrix(mat, s: int) -> BlockEncoding:
     """Data-structure encoding of a (padded) matrix; zero matrices get the
     dedicated zero encoding so alpha stays positive."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     padded = pad_to_square(mat, s)
     if np.linalg.norm(padded) == 0.0:
-        return encode_zero(s, 1.0, label=label, shape=mat.shape)
-    return encode_data_structure(padded, label=label, shape=mat.shape)
+        return encode_zero(s, 1.0, shape=mat.shape)
+    return encode_data_structure(padded, shape=mat.shape)
 
 
-def encode_vector(vec, s: int, label: str = "") -> BlockEncoding:
+def encode_vector(vec, s: int) -> BlockEncoding:
     """Encode a vector as the first column of an otherwise-zero matrix."""
     vec = np.atleast_1d(np.asarray(vec, dtype=float))
     if vec.ndim != 1:
         raise DimensionError("expected a vector")
-    return encode_matrix(vec.reshape(-1, 1), s, label=label)
+    return encode_matrix(vec.reshape(-1, 1), s)
 
 
 def _real_block(block: np.ndarray, context: str) -> np.ndarray:
@@ -342,8 +342,7 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
         raise SingularityError("measured innovation covariance is singular")
 
     # fresh s-ancilla encoding; Frobenius-norm alpha keeps sigma_max <= 1
-    be53p = encode_data_structure(pad_to_square(a_temp, be_h.system_qubits),
-                                  label="A_temp", shape=a_temp.shape)
+    be53p = encode_matrix(a_temp, be_h.system_qubits)
     ledger.record("alpha_53p", be53p, step)
     gamma = be53p.alpha / m53.alpha
     kappa_measured = be53p.alpha / float(sig[-1])
@@ -355,8 +354,7 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
 
     poly = inverse_poly(kappa_used, eps_prime, degree_cap)
     phi = solve_phase_factors(poly)
-    be54 = be_invert(be53p, kappa_used, eps_prime, degree_cap,
-                     poly=poly, phi=phi)
+    be54 = be_invert(be53p, poly, phi)
     be54 = replace(be54, op=compact_operator(be54.op))
     ledger.record("alpha_54", be54, step)
     k_be = be_multiply(m51, be54)
@@ -470,11 +468,11 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             f"need at least {steps} controls and measurements, "
             f"got {len(controls)} and {len(measurements)}")
 
-    be_a = encode_matrix(model.A, s, "A")
-    be_b = encode_matrix(model.B, s, "B")
-    be_h = encode_matrix(model.H, s, "H")
-    be_q = encode_matrix(model.Q, s, "Q")
-    be_r = encode_matrix(model.R, s, "R")
+    be_a = encode_matrix(model.A, s)
+    be_b = encode_matrix(model.B, s)
+    be_h = encode_matrix(model.H, s)
+    be_q = encode_matrix(model.Q, s)
+    be_r = encode_matrix(model.R, s)
 
     ledger = NormLedger()
     trajectory = [init]
@@ -489,10 +487,10 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             raise DimensionError(
                 f"measurements[{j}] has {z.size} entries, expected {m}")
 
-        be_x = encode_vector(state.x_hat, s, "x_hat")
-        be_p = encode_matrix(state.P, s, "P")
-        be_u = encode_vector(u, s, "u")
-        be_z = encode_vector(z, s, "z")
+        be_x = encode_vector(state.x_hat, s)
+        be_p = encode_matrix(state.P, s)
+        be_u = encode_vector(u, s)
+        be_z = encode_vector(z, s)
 
         x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u, step=step)
         p_minus = q_predict_cov(ledger, be_a, be_p, be_q, step=step)

@@ -52,15 +52,15 @@ def worked(demo_model, demo_init):
 
     t0 = time.perf_counter()
     be = SimpleNamespace(
-        a=encode_matrix(model.A, s, "A"),
-        b=encode_matrix(model.B, s, "B"),
-        h=encode_matrix(model.H, s, "H"),
-        q=encode_matrix(model.Q, s, "Q"),
-        r=encode_matrix(model.R, s, "R"),
-        x=encode_vector(init.x_hat, s, "x0"),
-        p=encode_matrix(init.P, s, "P0"),
-        u=encode_vector(u, s, "u"),
-        z=encode_vector(z, s, "z"),
+        a=encode_matrix(model.A, s),
+        b=encode_matrix(model.B, s),
+        h=encode_matrix(model.H, s),
+        q=encode_matrix(model.Q, s),
+        r=encode_matrix(model.R, s),
+        x=encode_vector(init.x_hat, s),
+        p=encode_matrix(init.P, s),
+        u=encode_vector(u, s),
+        z=encode_vector(z, s),
     )
     x_minus = q_predict_state(ledger, be.a, be.x, be.b, be.u, step=1)
     p_minus = q_predict_cov(ledger, be.a, be.p, be.q, step=1)

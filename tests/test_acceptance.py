@@ -19,7 +19,7 @@ from qkalman.block_encoding import (
     encode_svd_dilation,
 )
 from qkalman.inversion import (
-    _solve_cache,
+    clear_cache,
     eval_cheb,
     inverse_poly,
     qsvt_apply,
@@ -66,14 +66,14 @@ def test_criterion_2_block_encoding_goldens():
     init = FilterState([2.0, 1.0], np.eye(2))
     s = 1
     ledger = NormLedger()
-    be_a = encode_matrix(model.A, s, "A")
-    be_b = encode_matrix(model.B, s, "B")
-    be_h = encode_matrix(model.H, s, "H")
-    be_q = encode_matrix(model.Q, s, "Q")
-    be_r = encode_matrix(model.R, s, "R")
-    be_x = encode_vector(init.x_hat, s, "x0")
-    be_p = encode_matrix(init.P, s, "P0")
-    be_u = encode_vector([1.0], s, "u")
+    be_a = encode_matrix(model.A, s)
+    be_b = encode_matrix(model.B, s)
+    be_h = encode_matrix(model.H, s)
+    be_q = encode_matrix(model.Q, s)
+    be_r = encode_matrix(model.R, s)
+    be_x = encode_vector(init.x_hat, s)
+    be_p = encode_matrix(init.P, s)
+    be_u = encode_vector([1.0], s)
 
     assert be_a.alpha == pytest.approx(2.0, abs=1e-9)
     np.testing.assert_allclose(decode(be_a) / be_a.alpha,
@@ -104,8 +104,7 @@ def test_criterion_2_block_encoding_goldens():
 def test_criterion_3_qsvt_inversion_construction():
     # time a cold construction: the session fixtures may already have
     # built and solved this same polynomial
-    inverse_poly.cache_clear()
-    _solve_cache.clear()
+    clear_cache()
     t0 = time.perf_counter()
     poly = inverse_poly(3.5, 0.01)
     assert abs(poly.degree - 53) <= 8
@@ -225,15 +224,15 @@ def test_criterion_7_property_suites_and_op_report(worked):
     model = KalmanModel(rng2.uniform(-0.25, 0.25, (4, 4)), np.ones((4, 1)),
                         np.eye(4), np.eye(4), np.eye(4))
     ledger = NormLedger()
-    be_a = encode_matrix(model.A, s2, "A")
-    be_b = encode_matrix(model.B, s2, "B")
-    be_h = encode_matrix(model.H, s2, "H")
-    be_q = encode_matrix(model.Q, s2, "Q")
-    be_r = encode_matrix(model.R, s2, "R")
-    be_x = encode_vector(rng2.uniform(-1, 1, 4), s2, "x")
-    be_p = encode_matrix(np.eye(4), s2, "P")
-    be_u = encode_vector([0.5], s2, "u")
-    be_z = encode_vector(rng2.uniform(-1, 1, 4), s2, "z")
+    be_a = encode_matrix(model.A, s2)
+    be_b = encode_matrix(model.B, s2)
+    be_h = encode_matrix(model.H, s2)
+    be_q = encode_matrix(model.Q, s2)
+    be_r = encode_matrix(model.R, s2)
+    be_x = encode_vector(rng2.uniform(-1, 1, 4), s2)
+    be_p = encode_matrix(np.eye(4), s2)
+    be_u = encode_vector([0.5], s2)
+    be_z = encode_vector(rng2.uniform(-1, 1, 4), s2)
     x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u)
     p_minus = q_predict_cov(ledger, be_a, be_p, be_q)
     k_be = q_gain(ledger, p_minus, be_h, be_r, KappaPolicy.margin(1.1), 0.01)

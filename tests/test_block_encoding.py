@@ -20,7 +20,7 @@ from qkalman.errors import (
     DimensionError,
     SigmaRangeError,
 )
-from qkalman.inversion import be_invert
+from qkalman.inversion import be_invert, inverse_poly, solve_phase_factors
 from qkalman.tensor_ops import (
     ancilla_block,
     compact_operator,
@@ -155,8 +155,8 @@ def inverse_leaf(s):
     """be_invert of a fixed well-conditioned matrix, built once per s."""
     m = rand_with_sigma(philox(300 + s), np.linspace(1.0, 0.6, 2**s))
     be = encode_data_structure(m)
-    kappa = 1.1 * be.alpha / 0.6
-    return be_invert(be, kappa, 0.01)
+    poly = inverse_poly(1.1 * be.alpha / 0.6, 0.01)
+    return be_invert(be, poly, solve_phase_factors(poly))
 
 
 def draw_encoding(data, s, depth):

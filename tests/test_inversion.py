@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qkalman.inversion import (
     ChebPoly,
     PhaseFactors,
     be_invert,
+    clear_cache,
     eval_cheb,
     format_angles,
     inverse_poly,
@@ -30,7 +33,6 @@ from qkalman.inversion import (
     qsvt_apply,
     smoothing_order,
     solve_phase_factors,
-    to_reflection,
 )
 
 
@@ -122,8 +124,10 @@ def test_eval_cheb_matches_reference_clenshaw():
     rng = philox(13)
     coeffs = rng.standard_normal(5)
     poly = ChebPoly(coeffs, 9, 2.0, 1.0, 0.0)
+    full = np.zeros(10)
+    full[1::2] = coeffs
     xs = np.linspace(-1, 1, 101)
-    want = np.polynomial.chebyshev.chebval(xs, poly.full_coeffs)
+    want = np.polynomial.chebyshev.chebval(xs, full)
     np.testing.assert_allclose(np.asarray(eval_cheb(poly, xs)), want, atol=1e-12)
 
 
@@ -174,7 +178,6 @@ def test_known_degree_one_phases_give_identity_polynomial():
 def test_solver_reproduces_small_target():
     poly = small_target_poly()
     phi = solve_phase_factors(poly)
-    assert phi.convention == "wx"
     assert phi.degree == poly.degree
     assert phi.residual <= 1e-6
     xs = np.linspace(-1, 1, 301)
@@ -259,7 +262,7 @@ def test_mirrored_insertions_are_equal(degree):
         assert np.max(np.abs(ins[:half] - ins[::-1][:half])) > 1e-3
 
 
-@pytest.mark.parametrize("convention", ["wx", "reflection"])
+@pytest.mark.parametrize("convention", ["wx"])
 @pytest.mark.parametrize("degree", [1, 9, 57, 283])
 def test_response_batch_matches_stacked_products(degree, convention):
     # the row-0 recurrence against the full stacked 2x2 product
@@ -267,22 +270,40 @@ def test_response_batch_matches_stacked_products(degree, convention):
     angles = rng.uniform(-np.pi, np.pi, degree + 1)
     xs = np.concatenate([[0.0, 1.0, -1.0], rng.uniform(-1, 1, 200)])
     np.testing.assert_allclose(
-        inversion._response_batch(angles, xs, convention),
+        inversion._response_batch(angles, xs),
         stacked_response(angles, xs, convention), rtol=0, atol=1e-13)
 
 
 def test_solve_cache_keeps_the_32_most_recent():
-    inversion._solve_cache.clear()
-    polys = [ChebPoly([0.5 + 0.01 * i], 1, 2.0, 1.0, 0.0) for i in range(40)]
-    phis = [solve_phase_factors(p) for p in polys]
-    assert len(inversion._solve_cache) <= 32
-    assert solve_phase_factors(polys[-1]) is phis[-1]
-    # a hit refreshes its entry, so the oldest survivor outlives the next insert
-    oldest = polys[40 - len(inversion._solve_cache)]
-    phi_oldest = solve_phase_factors(oldest)
+    # polynomials and phase lists share one LRU of _CACHE_SIZE entries
+    clear_cache()
+    size = inversion._CACHE_SIZE
+    assert size == 32
+    kappas = [2.0 + 0.01 * i for i in range(size // 2)]
+    polys = [inverse_poly(k, 0.1) for k in kappas]
+    targets = [ChebPoly([0.5 + 0.01 * i], 1, 2.0, 1.0, 0.0)
+               for i in range(size // 2)]
+    phis = [solve_phase_factors(t) for t in targets]
+    assert len(inversion._cache) == size
+    assert solve_phase_factors(targets[-1]) is phis[-1]
+    # polys[0] is the oldest entry; a hit refreshes it, so the next insert
+    # evicts polys[1] instead
+    assert inverse_poly(kappas[0], 0.1) is polys[0]
     solve_phase_factors(ChebPoly([0.1], 1, 2.0, 1.0, 0.0))
-    assert solve_phase_factors(oldest) is phi_oldest
-    assert solve_phase_factors(polys[0]) is not phis[0]  # evicted, solved anew
+    assert len(inversion._cache) == size
+    assert inverse_poly(kappas[0], 0.1) is polys[0]
+    assert solve_phase_factors(targets[0]) is phis[0]
+    assert inverse_poly(kappas[1], 0.1) is not polys[1]  # evicted, built anew
+
+
+def test_clear_cache_forgets_polynomials_and_phases():
+    poly = inverse_poly(3.0, 0.05)
+    phi = solve_phase_factors(poly)
+    assert inverse_poly(3.0, 0.05) is poly
+    assert solve_phase_factors(poly) is phi
+    clear_cache()
+    assert inverse_poly(3.0, 0.05) is not poly
+    assert solve_phase_factors(poly) is not phi
 
 
 def test_solver_raises_on_stall(monkeypatch):
@@ -309,7 +330,7 @@ def test_solver_raises_on_singular_step(monkeypatch):
 def test_solver_raises_on_failed_verification(monkeypatch):
     # a response that misses p at the order-d nodes must not be returned
     monkeypatch.setattr(inversion, "_response_batch",
-                        lambda angles, x, convention: np.zeros(x.size, complex))
+                        lambda angles, x: np.zeros(x.size, complex))
     with pytest.raises(SolverError) as info:
         solve_phase_factors(small_target_poly(seed=45, degree=9))
     assert info.value.residual > 1e-6
@@ -329,15 +350,13 @@ def test_response_parity_and_boundedness():
 
 
 def test_reflection_convention_matches_wx():
+    # the circuit's reflection angles, run through the reflection-form
+    # reference (which adds the global phase i^d), give the W_x response
     phi = solve_phase_factors(small_target_poly())
-    refl = to_reflection(phi)
-    assert refl.convention == "reflection"
     xs = np.linspace(-1, 1, 101)
-    for x in xs[::10]:
-        assert qsp_response(refl, x) == pytest.approx(qsp_response(phi, x),
-                                                      abs=1e-10)
-    # converting twice is a no-op
-    assert to_reflection(refl) is refl
+    refl = inversion._reflection_angles(phi.angles)
+    np.testing.assert_allclose(stacked_response(refl, xs, "reflection"),
+                               qsp_response(phi, xs), rtol=0, atol=1e-10)
 
 
 def test_format_angles_round_trip():
@@ -407,7 +426,7 @@ def test_be_invert_random_matrices():
         m_scaled = rand_with_sigma(rng, sigma)
         alpha = rng.uniform(0.5, 20.0)
         be = encode_svd_dilation(m_scaled, alpha=alpha)
-        inv = be_invert(be, kappa, eps, poly=poly, phi=phi)
+        inv = be_invert(be, poly, phi)
         assert inv.alpha == pytest.approx(poly.scale / alpha, rel=1e-12)
         assert inv.eps == pytest.approx(poly.eps_prime * inv.alpha, rel=1e-12)
         target = np.linalg.inv(alpha * m_scaled)
@@ -416,7 +435,20 @@ def test_be_invert_random_matrices():
 
 
 def test_be_invert_rejects_out_of_range_sigma():
-    kappa = 2.5
+    poly = inverse_poly(2.5, 0.01)
     be = encode_svd_dilation(np.diag([0.9, 0.1]))  # 0.1 < 1/2.5
     with pytest.raises(SigmaRangeError):
-        be_invert(be, kappa, 0.01)
+        be_invert(be, poly, solve_phase_factors(poly))
+
+
+def test_be_invert_sigma_window_comes_from_poly_kappa():
+    # the same phases on the same encoding are refused or accepted by the
+    # kappa the polynomial records: the window is [1/poly.kappa, 1]
+    poly = inverse_poly(2.5, 0.01)
+    phi = solve_phase_factors(poly)
+    be = encode_svd_dilation(np.diag([0.9, 0.3]))  # 0.3 < 1/2.5
+    with pytest.raises(SigmaRangeError) as info:
+        be_invert(be, poly, phi)
+    assert (info.value.sigma, info.value.lo) == (pytest.approx(0.3), 1 / 2.5)
+    inv = be_invert(be, replace(poly, kappa=4.0), phi)
+    assert inv.alpha == poly.scale

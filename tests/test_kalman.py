@@ -255,11 +255,11 @@ def test_ledger_find_semantics(worked):
 
 def test_reencode_idempotence(worked):
     x_hat = np.real(decode(worked.x_hat_be)[:, 0])
-    be2 = encode_vector(x_hat, 1, "x")
+    be2 = encode_vector(x_hat, 1)
     np.testing.assert_allclose(decode(be2)[:, 0], x_hat, atol=1e-12)
     assert be2.alpha == pytest.approx(np.linalg.norm(x_hat))
     p_mat = np.real(decode(worked.p_hat_be))
-    be3 = encode_matrix(p_mat, 1, "P")
+    be3 = encode_matrix(p_mat, 1)
     np.testing.assert_allclose(decode(be3), p_mat, atol=1e-12)
 
 
@@ -380,15 +380,15 @@ def test_stage_ancillas_scale_linearly_without_decode():
     model = random_model(rng, n)
     init = FilterState(rng.uniform(-1, 1, n), np.eye(n))
     ledger = NormLedger()
-    be_a = encode_matrix(model.A, s, "A")
-    be_b = encode_matrix(model.B, s, "B")
-    be_h = encode_matrix(model.H, s, "H")
-    be_q = encode_matrix(model.Q, s, "Q")
-    be_r = encode_matrix(model.R, s, "R")
-    be_x = encode_vector(init.x_hat, s, "x")
-    be_p = encode_matrix(init.P, s, "P")
-    be_u = encode_vector(np.array([0.5]), s, "u")
-    be_z = encode_vector(rng.uniform(-1, 1, n), s, "z")
+    be_a = encode_matrix(model.A, s)
+    be_b = encode_matrix(model.B, s)
+    be_h = encode_matrix(model.H, s)
+    be_q = encode_matrix(model.Q, s)
+    be_r = encode_matrix(model.R, s)
+    be_x = encode_vector(init.x_hat, s)
+    be_p = encode_matrix(init.P, s)
+    be_u = encode_vector(np.array([0.5]), s)
+    be_z = encode_vector(rng.uniform(-1, 1, n), s)
 
     x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u)
     p_minus = q_predict_cov(ledger, be_a, be_p, be_q)
@@ -435,15 +435,15 @@ def test_four_state_decode_stays_small():
         philox(62), (3.0, 2.0, 1.5, 1.0), 1)
     model, s = KalmanModel(A, B, H, Q, R), 2
     ledger = NormLedger()
-    be = {name: encode_matrix(m, s, name)
+    be = {name: encode_matrix(m, s)
           for name, m in (("A", A), ("B", B), ("H", H), ("Q", Q), ("R", R),
                           ("P", P0))}
-    x_minus = q_predict_state(ledger, be["A"], encode_vector(x0, s, "x"),
-                              be["B"], encode_vector(us[0], s, "u"))
+    x_minus = q_predict_state(ledger, be["A"], encode_vector(x0, s),
+                              be["B"], encode_vector(us[0], s))
     p_minus = q_predict_cov(ledger, be["A"], be["P"], be["Q"])
     k_be = q_gain(ledger, p_minus, be["H"], be["R"], KappaPolicy.fixed(6.0), 0.01)
     x_hat = q_update_state(ledger, x_minus, k_be, be["H"],
-                           encode_vector(zs[0], s, "z"))
+                           encode_vector(zs[0], s))
     p_hat = q_update_cov(ledger, p_minus, k_be, be["H"])
     assert (x_hat.op.nqubits, p_hat.op.nqubits) == (23, 24)
 
