@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sampler sweep: pooled_report against per-iteration seeding.
+"""Sampler sweep: pooled_report's one draw against per-iteration draws.
 
     python scripts/sampling_sweep.py [--out BENCH_sampling.json]
 
@@ -9,11 +9,15 @@ it draws 16384 shots per iteration with the filter's entropy tuple
 (seed, step, column). Per point it records the median over REPEATS
 timings of the ms per call of `sampling.pooled_report` and of the
 reference below, which builds one SeedSequence child and one Philox
-generator per iteration, the seeding `pooled_report` used before it
-derived all keys in one pass. A timing covers ceil(CALLS / iterations)
-back-to-back calls, so a 1-iteration call (tens of microseconds) is
-not timed alone. The two are timed in alternation and must return
-identical counts; the script exits 1 if they do not.
+generator per iteration and draws `shots` shots from each, where
+`pooled_report` draws all shots * iterations shots at once. A timing
+covers ceil(CALLS / iterations) back-to-back calls, so a 1-iteration
+call (tens of microseconds) is not timed alone. The two are timed in
+alternation. Both are draws of Multinomial(N, p), N = shots *
+iterations, from different streams, so their counts differ; the
+difference of two independent such draws has variance 2 N p (1 - p)
+per outcome, and every outcome's difference must lie within 6 standard
+deviations. The script exits 1 if one does not.
 """
 
 import argparse
@@ -63,21 +67,23 @@ def sweep() -> list[dict]:
     for outcomes in OUTCOMES:
         targets = rng.standard_normal(outcomes - 1)
         amps = sampling.with_rest(0.1 * targets / np.linalg.norm(targets))
+        probs = sampling._probabilities(amps)
         for iterations in ITERATIONS:
             args = (amps, SHOTS, iterations, ENTROPY)
             calls = -(-CALLS // iterations)
-            new_ms, ref_ms, same = [], [], True
+            sigma = np.sqrt(2 * SHOTS * iterations * probs * (1 - probs))
+            new_ms, ref_ms = [], []
             for _ in range(REPEATS):
                 report, ms = ms_per_call(sampling.pooled_report, args, calls)
                 new_ms.append(ms)
                 counts, ms = ms_per_call(reference, args, calls)
                 ref_ms.append(ms)
-                same = same and np.array_equal(report.counts, counts)
+            agree = bool(np.all(np.abs(report.counts - counts) <= 6 * sigma))
             new, ref = statistics.median(new_ms), statistics.median(ref_ms)
             rows.append({"outcomes": outcomes, "iterations": iterations,
                          "calls_per_timing": calls, "pooled_ms": new,
                          "reference_ms": ref, "speedup": ref / new,
-                         "identical_counts": same})
+                         "within_6_sigma": agree})
     return rows
 
 
@@ -103,12 +109,12 @@ def main() -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"{'outcomes':>8} {'iterations':>10} {'pooled ms':>10} "
-          f"{'reference ms':>12} {'speedup':>8} identical")
+          f"{'reference ms':>12} {'speedup':>8} within 6 sigma")
     for r in rows:
         print(f"{r['outcomes']:>8} {r['iterations']:>10} {r['pooled_ms']:>10.3f} "
-              f"{r['reference_ms']:>12.3f} {r['speedup']:>8.2f} {r['identical_counts']}")
+              f"{r['reference_ms']:>12.3f} {r['speedup']:>8.2f} {r['within_6_sigma']}")
     print(f"wrote {args.out}")
-    return 0 if all(r["identical_counts"] for r in rows) else 1
+    return 0 if all(r["within_6_sigma"] for r in rows) else 1
 
 
 if __name__ == "__main__":

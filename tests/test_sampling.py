@@ -6,7 +6,6 @@ from qkalman.errors import ConfigError, DimensionError, MeasurementBudgetError
 from qkalman.kalman import KappaPolicy, q_filter_run
 from qkalman.sampling import (
     SampleReport,
-    _spawn_keys,
     estimate_entries,
     exact_amplitudes,
     pooled_report,
@@ -130,6 +129,11 @@ def test_pooled_report_rejects_empty_budget():
         pooled_report(amps, 0, 10, 0)
     with pytest.raises(MeasurementBudgetError):
         pooled_report(amps, 100, 0, 0)
+    # the pooled total must fit an int64 count rather than wrap around
+    with pytest.raises(MeasurementBudgetError):
+        pooled_report(np.array([0.6, 0.8]), 2**62, 4, 0)
+    report = pooled_report(np.array([0.6, 0.8]), 2**62 - 1, 2, 0)
+    assert report.counts.sum() == report.total == 2**63 - 2
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, (5, 1, 2)])
@@ -167,51 +171,27 @@ def test_rest_outcome_clamps_at_zero():
 @pytest.mark.parametrize("seed", [0, 11, 2024, (7, 1, 1), (2**32 + 5, 3, 2),
                                   2**64 + 9])
 def test_pooled_counts_sum_per_child_draws(seed):
-    # probabilities computed once give the same counts as a sample_counts
-    # call per spawned child
+    # the iterations pool into one draw of shots x iterations from the seed
     rng = np.random.Generator(np.random.Philox(seed))
     for size in (3, 64):
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         report = pooled_report(amps, 1000, 7, seed)
-        want = sum(sample_counts(amps, 1000, child)
-                   for child in np.random.SeedSequence(seed).spawn(7))
-        np.testing.assert_array_equal(report.counts, want)
-
-
-def _random_entropy(rng):
-    """0, 2^32 - 1, 2^32, a wide int, or a tuple of 1-8 such words."""
-    def word():
-        kind = rng.integers(5)
-        if kind < 3:
-            return (0, 2**32 - 1, 2**32)[kind]
-        return int(rng.integers(2**32)) if kind == 3 else int(rng.integers(2**63)) * 3
-    if rng.integers(3) == 0:
-        return word()
-    return tuple(word() for _ in range(rng.integers(1, 9)))
-
-
-def test_spawn_keys_match_seed_sequence_children():
-    rng = np.random.Generator(np.random.Philox(99))
-    for trial in range(1000):
-        entropy = _random_entropy(rng)
-        # n spans 1..257, log-uniform so small spawn counts dominate
-        n = 257 if trial == 0 else int(np.exp(rng.uniform(0, np.log(258))))
-        want = [tuple(int(w) for w in child.generate_state(2, np.uint64))
-                for child in np.random.SeedSequence(entropy).spawn(n)]
-        assert _spawn_keys(entropy, n) == want, (entropy, n)
+        np.testing.assert_array_equal(report.counts,
+                                      sample_counts(amps, 7000, seed))
+        assert report.counts.sum() == report.total
 
 
 @pytest.mark.parametrize("entropy", [1.5, (1, 2.0), -1, (3, -1, 2), "7", None])
-def test_spawn_keys_reject_non_integer_and_negative_words(entropy):
+def test_seed_entropy_rejects_non_integer_and_negative_words(entropy):
     with pytest.raises(ConfigError, match="seed entropy"):
-        _spawn_keys(entropy, 3)
+        sample_counts(np.array([0.6, 0.8]), 10, entropy)
     with pytest.raises(ConfigError, match="seed entropy"):
         pooled_report(np.array([0.6, 0.8]), 10, 3, entropy)
 
 
 def test_filter_sampled_counts_pin_spawned_children(worked):
-    # step 1 of the worked example: column c draws from the children of
-    # SeedSequence((seed, 1, c)), c = 0 the state and 1 + j column j of P
+    # step 1 of the worked example: column c draws all its shots at once
+    # from the entropy (seed, 1, c), c = 0 the state and 1 + j column j of P
     seed, shots, iterations = 301, 4096, 6
     _, ledger = q_filter_run(
         worked.model, worked.init, [worked.u], [worked.z], 1, "sampled",
@@ -225,8 +205,7 @@ def test_filter_sampled_counts_pin_spawned_children(worked):
     columns += [(meta, p_amps[:2, j]) for j, meta in enumerate(info["P"])]
     for c, (meta, amps) in enumerate(columns):
         assert meta["entropy"] == (seed, 1, c)
-        want = sum(sample_counts(with_rest(amps), shots, child)
-                   for child in np.random.SeedSequence((seed, 1, c)).spawn(iterations))
+        want = sample_counts(with_rest(amps), shots * iterations, (seed, 1, c))
         got = meta["counts_nonzero"]
         assert got == {("rest" if i == 2 else int(i)): int(want[i])
                        for i in np.flatnonzero(want)}

@@ -68,5 +68,5 @@ def test_sampling_sweep_writes_a_row_per_point(tmp_path):
     assert [(r["outcomes"], r["iterations"]) for r in rows] == [
         (o, i) for o in (3, 5) for i in (1, 10, 100, 1000)]
     for r in rows:
-        assert r["identical_counts"]
+        assert r["within_6_sigma"]
         assert r["pooled_ms"] > 0 and r["reference_ms"] > 0
