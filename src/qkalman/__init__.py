@@ -72,7 +72,6 @@ from .kalman import (  # noqa: F401
     q_update_state,
 )
 from .sampling import (  # noqa: F401
-    EntryEstimate,
     SampleReport,
     estimate_entries,
     exact_amplitudes,

@@ -138,7 +138,13 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number}")
+    return number
 
 
 def parse_config(text: str) -> RunConfig:

@@ -248,19 +248,24 @@ def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebP
     Degree comes from the sufficient truncation bound; the achieved
     (unscaled) error is re-measured on a dense grid and the degree is
     bumped in steps of two if the measurement misses eps', failing with
-    an approximation error at the degree cap. Cached on the arguments.
+    an approximation error at the degree cap (or at a kappa that is not
+    finite or overflows the smoothing order). Cached on the arguments.
     """
     return _cached(("inverse_poly", kappa, eps_prime, degree_cap),
                    lambda: _build_inverse_poly(kappa, eps_prime, degree_cap))
 
 
 def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> ChebPoly:
-    if not kappa > 1:
-        raise ApproximationError(f"kappa must exceed 1, got {kappa}")
+    if not 1 < kappa < math.inf:
+        raise ApproximationError(f"kappa must be finite and exceed 1, got {kappa}")
     if not 0 < eps_prime < 1:
         raise ApproximationError(f"eps_prime must lie in (0,1), got {eps_prime}")
-    b = smoothing_order(kappa, eps_prime)
-    j0 = math.ceil(math.sqrt(b * math.log(4 * b / eps_prime)))
+    try:
+        b = smoothing_order(kappa, eps_prime)
+        j0 = math.ceil(math.sqrt(b * math.log(4 * b / eps_prime)))
+    except OverflowError:
+        raise ApproximationError(
+            f"smoothing order overflows at kappa {kappa}, eps' {eps_prime}") from None
     d = min(2 * j0 + 1, 2 * b - 1)
     if d > degree_cap:
         raise ApproximationError(f"required degree {d} exceeds the cap {degree_cap}")
@@ -497,23 +502,14 @@ def _qsvt_circuit(be: BlockEncoding, angles: np.ndarray):
     return Product(tuple(children))
 
 
-def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
-    """Apply the odd singular value transform to an exact encoding.
-
-    Output block equals sum_j Re(p)(sigma_j) |w_j><v_j| where the input
-    block is sum_j sigma_j |w_j><v_j|; alpha=1, a_out = a_in + 1.
-    """
+def _transform(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
+    """The odd transform (Phi and -Phi averaged); callers check sigma."""
     d = phi.degree
     if d % 2 == 0:
         raise ParityError(f"even degree {d} not supported")
     if be_a.eps > 1e-12:
         raise ApproximationError(
             f"transform needs an exact encoding, got eps={be_a.eps:.3g}")
-    block = decode(be_a) / be_a.alpha
-    sig_max = float(np.linalg.norm(block, 2))
-    if sig_max > 1 + 1e-10:
-        raise SigmaRangeError(sig_max, 0.0, 1.0)
-
     n = be_a.op.nqubits
     plus = _qsvt_circuit(be_a, phi.angles)
     minus = _qsvt_circuit(be_a, -phi.angles)
@@ -527,16 +523,32 @@ def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
                          0.0, be_a.shape)
 
 
+def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
+    """Apply the odd singular value transform to an exact encoding.
+
+    Output block equals sum_j Re(p)(sigma_j) |w_j><v_j| where the input
+    block is sum_j sigma_j |w_j><v_j|; alpha=1, a_out = a_in + 1.
+    """
+    out = _transform(be_a, phi)
+    sig_max = float(np.linalg.norm(decode(be_a) / be_a.alpha, 2))
+    if sig_max > 1 + 1e-10:
+        raise SigmaRangeError(sig_max, 0.0, 1.0)
+    return out
+
+
 def be_invert(be_a: BlockEncoding, poly: ChebPoly,
               phi: PhaseFactors) -> BlockEncoding:
     """Block-encode A^{-1} by the transform of poly, whose phases are phi.
 
     poly is a 1/x approximant such as `inverse_poly` builds and phi its
-    phases (`solve_phase_factors(poly)`); both are applied as given. The
-    decoded input block must have singular values in [1/poly.kappa, 1].
+    phases (`solve_phase_factors(poly)`); both are applied as given.
     alpha_out = poly.scale / alpha_in (the kappa*beta over alpha
     bookkeeping), eps_out = poly.eps_prime (the achieved scaled
     polynomial error) times alpha_out.
+
+    The one singular-value gate: the input is decoded once and its block's
+    singular values must lie in [1/poly.kappa, 1]. The transform skips
+    `qsvt_apply`, whose sigma_max check would decode it again.
 
     An odd singular-value transform of W S Vh lands on W p(S) Vh, which for
     p(x) ~ 1/x is the adjoint of the inverse. The phases are therefore run
@@ -549,7 +561,7 @@ def be_invert(be_a: BlockEncoding, poly: ChebPoly,
     for s in sigma:
         if s < lo - 1e-12 or s > 1.0 + 1e-12:
             raise SigmaRangeError(float(s), lo, 1.0)
-    out = qsvt_apply(be_adjoint(be_a), phi)
+    out = _transform(be_adjoint(be_a), phi)
     alpha_out = poly.scale / be_a.alpha
     return BlockEncoding(out.op, alpha_out, out.ancillas, out.system_qubits,
                          poly.eps_prime * alpha_out, be_a.shape)

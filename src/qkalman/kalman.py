@@ -18,14 +18,13 @@ metadata (measured condition number, polynomial degree, scale, solver
 residual and iterations) rides along per step.
 
 The filter loop measures at each step boundary and re-encodes the
-estimates freshly, so ancillas do not accumulate across steps. Both
-readouts evaluate only the ancilla-zero block of the columns they need
-(`tensor_ops.ancilla_block`), never a full-register statevector. Each
-readout walks x_hat's tree once for its one column and P's tree once
-for all n columns. Sampled readout then draws, per column, seeded shots
-over the n target outcomes plus one rest outcome that stands for every
-other basis state, and estimates entries as alpha*sqrt(frequency) with
-exact-amplitude signs.
+estimates freshly, so ancillas do not accumulate across steps. A step
+reads four blocks, each once and through `decode` (ancilla-zero columns
+only, no full-register statevector): the innovation, its fresh encoding
+(in `be_invert`'s window check), x_hat and P. Sampled readout then
+replaces each decoded column by seeded shots over its n target outcomes
+plus one rest outcome for every other basis state, estimating entries as
+alpha*sqrt(frequency) with the signs of the decoded values.
 
 Stage encodings stay lazy trees. Only the inverse is compacted
 (`tensor_ops.compact_operator`), because it is the one sub-circuit that
@@ -59,12 +58,11 @@ from .errors import (
     DimensionError,
     MeasurementBudgetError,
     NumericalFailureError,
-    SigmaRangeError,
     SingularityError,
 )
 from .inversion import be_invert, inverse_poly, solve_phase_factors
 from .sampling import estimate_entries, pooled_report, with_rest
-from .tensor_ops import ancilla_block, compact_operator, op_stats
+from .tensor_ops import compact_operator, op_stats
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -161,6 +159,8 @@ class KappaPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "margin"):
             raise ConfigError(f"unknown kappa policy mode {self.mode!r}")
+        if not math.isfinite(self.value):
+            raise ConfigError(f"kappa policy value must be finite, got {self.value}")
         if self.mode == "fixed" and not self.value > 1:
             raise ConfigError(f"fixed kappa must exceed 1, got {self.value}")
         if self.mode == "margin" and not self.value >= 1:
@@ -325,6 +325,7 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     The innovation covariance is measured (exact simulator readout),
     re-encoded freshly at s ancillas with its Frobenius norm as the new
     alpha, and inverted through the singular value transform.
+    `be_invert` checks the singular-value window [1/kappa_used, 1].
     """
     m51 = be_multiply(be_p_minus, be_adjoint(be_h))
     ledger.record("alpha_51", m51, step)
@@ -334,11 +335,8 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     ledger.record("alpha_53", m53, step)
 
     a_temp = _real_block(decode(m53), "innovation readout")
-    if a_temp.shape[0] != a_temp.shape[1]:
-        raise DimensionError(
-            f"innovation covariance came out {a_temp.shape}, expected square")
     sig = np.linalg.svd(a_temp, compute_uv=False)
-    if sig[-1] <= sig[0] * 1e-12 or sig[-1] == 0.0:
+    if sig[-1] <= sig[0] * 1e-12:
         raise SingularityError("measured innovation covariance is singular")
 
     # fresh s-ancilla encoding; Frobenius-norm alpha keeps sigma_max <= 1
@@ -347,10 +345,6 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     gamma = be53p.alpha / m53.alpha
     kappa_measured = be53p.alpha / float(sig[-1])
     kappa_used = kappa_policy.resolve(kappa_measured)
-    sig_lo = float(sig[-1]) / be53p.alpha
-    sig_hi = float(sig[0]) / be53p.alpha
-    if sig_lo < 1.0 / kappa_used - 1e-12:
-        raise SigmaRangeError(sig_lo, 1.0 / kappa_used, 1.0)
 
     poly = inverse_poly(kappa_used, eps_prime, degree_cap)
     phi = solve_phase_factors(poly)
@@ -363,8 +357,8 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
         "gamma": gamma,
         "kappa_measured": kappa_measured,
         "kappa_used": kappa_used,
-        "sigma_min": sig_lo,
-        "sigma_max": sig_hi,
+        "sigma_min": float(sig[-1]) / be53p.alpha,
+        "sigma_max": float(sig[0]) / be53p.alpha,
         "degree": poly.degree,
         "scale": poly.scale,
         "beta": poly.scale / kappa_used,
@@ -405,30 +399,30 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
 # the filter loop
 # ---------------------------------------------------------------------------
 
-def _sampled_column(amps: np.ndarray, alpha: float, column: int, shots: int,
+def _sampled_column(values: np.ndarray, alpha: float, column: int, shots: int,
                     iterations: int, entropy) -> tuple[np.ndarray, dict]:
-    """Sampled estimate of one decoded column, signs from exact amplitudes.
+    """Shot-noise estimate of one decoded column, signs from its values.
 
-    `amps` are the column's target amplitudes <0^a, i| U |0^a, column>.
-    Shots land on those target outcomes or on one rest outcome that
-    stands for every other basis state of the register.
+    `values` / alpha are the column's target amplitudes; shots land on
+    those outcomes or on one rest outcome that stands for every other
+    basis state of the register.
     """
-    rows = amps.size
-    report = pooled_report(with_rest(amps), shots, iterations, entropy)
-    ests = estimate_entries(report, alpha, range(rows), signs=amps.real)
-    values = np.array([e.value for e in ests])
+    rows = values.size
+    report = pooled_report(with_rest(values / alpha), shots, iterations, entropy)
+    estimates, std_errors = estimate_entries(report, alpha, range(rows),
+                                             signs=values)
     meta = {
         "column": column,
         "shots": shots,
         "iterations": iterations,
         "entropy": tuple(entropy),
-        "std_error": [e.std_error for e in ests],
-        "zero_count": [e.zero_count for e in ests],
+        "std_error": std_errors.tolist(),
+        "zero_count": (report.counts[:rows] == 0).tolist(),
         "counts_nonzero": {
             ("rest" if i == rows else int(i)): int(report.counts[i])
             for i in np.flatnonzero(report.counts)},
     }
-    return values, meta
+    return estimates, meta
 
 
 def q_filter_run(model: KalmanModel, init: FilterState, controls,
@@ -439,11 +433,11 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
     """Run the block-encoded filter for `steps` iterations.
 
     Returns (trajectory, ledger); trajectory[0] is the initial state.
-    Readout is an exact decode by default; "sampled" draws seeded shots
-    and estimates entries as alpha*sqrt(frequency) with exact-amplitude
-    signs; its seed must be a nonnegative integer, checked before any
-    step runs. A sampled step whose state estimate draws no counts at
-    all aborts with the partial trajectory attached.
+    Both readout modes decode x_hat and P; "sampled" then replaces each
+    decoded column by its seeded shot estimate. Its seed must be a
+    nonnegative integer, checked before any step runs. A sampled step
+    whose state estimate draws no counts at all aborts with the partial
+    trajectory attached.
     """
     if readout_mode not in ("exact", "sampled"):
         raise ConfigError(f"readout_mode must be exact or sampled, "
@@ -504,29 +498,22 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             "P": op_stats(p_hat_be.op),
         }
 
-        if readout_mode == "exact":
-            x_new = _real_block(decode(x_hat_be), "state readout")[:, 0]
-            p_new = _real_block(decode(p_hat_be), "covariance readout")
-        else:
-            x_amps = ancilla_block(x_hat_be.op, x_hat_be.ancillas, [0])[:n, 0]
+        x_new = _real_block(decode(x_hat_be), "state readout")[:, 0]
+        p_new = _real_block(decode(p_hat_be), "covariance readout")
+        if readout_mode == "sampled":
             x_new, x_meta = _sampled_column(
-                x_amps, x_hat_be.alpha, 0, shots, iterations, (seed, step, 0))
+                x_new, x_hat_be.alpha, 0, shots, iterations, (seed, step, 0))
             if all(x_meta["zero_count"]):
                 raise MeasurementBudgetError(
                     f"step {step}: no counts landed on any state entry "
                     f"in {shots}x{iterations} shots",
                     partial=(trajectory, ledger))
-            p_amps = ancilla_block(p_hat_be.op, p_hat_be.ancillas, range(n))[:n]
-            cols = []
-            col_meta = []
-            for col in range(n):
-                vals, meta = _sampled_column(
-                    p_amps[:, col], p_hat_be.alpha, col, shots, iterations,
-                    (seed, step, 1 + col))
-                cols.append(vals)
-                col_meta.append(meta)
-            p_new = _sym(np.column_stack(cols))
-            ledger.sampling_info[step] = {"x_hat": x_meta, "P": col_meta}
+            cols, col_meta = zip(*(
+                _sampled_column(p_new[:, col], p_hat_be.alpha, col, shots,
+                                iterations, (seed, step, 1 + col))
+                for col in range(n)))
+            p_new = np.column_stack(cols)
+            ledger.sampling_info[step] = {"x_hat": x_meta, "P": list(col_meta)}
 
         state = FilterState(x_new, p_new, step)
         trajectory.append(state)

@@ -85,6 +85,36 @@ def test_parse_rejects_bad_documents():
         parse_config("A: [[1.0")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
+                         ids=["inf", "nan", "int-1e400"])
+@pytest.mark.parametrize("field", ["kappa", "kappa_margin", "eps_prime"])
+def test_non_finite_number_is_a_config_error(field, value, tmp_path, capsys):
+    # YAML's .inf and .nan, and an integer too large for a float
+    config_path = tmp_path / "inf.yaml"
+    config_path.write_text(mini_config(steps=1, **{field: value}))
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
+
+
+@pytest.mark.parametrize("kappa", ["inf", "1e200"])
+def test_angles_with_non_finite_or_huge_kappa_exits_8(kappa, capsys):
+    assert main(["angles", "--kappa", kappa, "--eps", "0.01"]) == 8
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"kappa": 1.5}, 6),  # be_invert's window [1/1.5, 1] refuses sigma 0.29
+    ({"kappa": 1.5, "degree_cap": 3}, 8),  # the polynomial fails first
+])
+def test_fixed_kappa_window_failure_exit_codes(overrides, code, tmp_path):
+    with open(CONFIG_PATH) as fh:
+        doc = yaml.safe_load(fh)
+    doc.update(overrides)
+    config_path = tmp_path / "narrow.yaml"
+    config_path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(config_path)]) == code
+
+
 def test_parse_rejects_mismatched_shapes():
     from qkalman.errors import DimensionError
     with pytest.raises(DimensionError, match="B"):

@@ -75,6 +75,14 @@ def test_inverse_poly_rejects_bad_parameters():
         inverse_poly(30.0, 1e-4, degree_cap=51)
 
 
+@pytest.mark.parametrize("kappa", [np.inf, np.nan, 1e200, 1e152])
+def test_inverse_poly_rejects_non_finite_or_overflowing_kappa(kappa):
+    # inf and nan are refused up front; at 1e200 kappa^2 overflows, and at
+    # 1e152 the degree bound's 4b/eps' does
+    with pytest.raises(ApproximationError):
+        inverse_poly(kappa, 0.01)
+
+
 def test_untruncated_series_matches_smoothed_reciprocal():
     # with every term kept, scale*p(x) must equal (1 - (1-x^2)^b)/x exactly
     kappa, eps = 1.5, 0.3

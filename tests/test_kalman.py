@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import qkalman.kalman as kalman
+import qkalman.block_encoding as block_encoding
 from helpers import model_with_innovation, philox
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import decode
@@ -12,6 +12,7 @@ from qkalman.errors import (
     ConfigError,
     DimensionError,
     MeasurementBudgetError,
+    SigmaRangeError,
     SingularityError,
 )
 from qkalman.kalman import (
@@ -124,6 +125,24 @@ def test_kappa_policy():
         KappaPolicy.margin(0.99)
     with pytest.raises(ConfigError):
         KappaPolicy("adaptive", 2.0)
+
+
+@pytest.mark.parametrize("make", [KappaPolicy.fixed, KappaPolicy.margin])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_kappa_policy_rejects_non_finite_values(make, value):
+    with pytest.raises(ConfigError, match="finite"):
+        make(value)
+
+
+def test_fixed_kappa_window_failure_through_the_filter():
+    # the worked example's innovation block has sigma_min 4/sqrt(185) ~ 0.29,
+    # below the window [1/1.5, 1]: be_invert refuses it inside q_filter_run
+    model, init, u, z = demo_parts()
+    with pytest.raises(SigmaRangeError) as err:
+        q_filter_run(model, init, [u], [z], 1,
+                     kappa_policy=KappaPolicy.fixed(1.5))
+    assert err.value.sigma == pytest.approx(4 / math.sqrt(185))
+    assert err.value.lo == pytest.approx(1 / 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +366,13 @@ def test_filter_run_sampled_budget_abort():
     assert len(ledger.entries) == 17
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("s", [1, 2])
-def test_sampled_step_reads_each_encoding_in_one_walk(s, monkeypatch):
-    # one walk for x_hat's column, one for all of P's columns; each column
-    # of the batched P block equals its own single-column walk
+def test_step_reads_each_block_once_through_decode(s, mode, monkeypatch):
+    # four walks per step, in order: the innovation m53 (5s+2 ancillas),
+    # its fresh encoding in be_invert's window check (s), x_hat's one
+    # column (8s+5) and all of P's columns (9s+4); each column of the
+    # batched P block equals its own single-column walk
     n = 2**s
     A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
         philox(70 + s), np.linspace(2.0, 1.0, n), 1)
@@ -361,12 +383,14 @@ def test_sampled_step_reads_each_encoding_in_one_walk(s, monkeypatch):
         walks.append((op, ancillas, list(cols), block))
         return block
 
-    monkeypatch.setattr(kalman, "ancilla_block", spy)
+    monkeypatch.setattr(block_encoding, "ancilla_block", spy)
     q_filter_run(KalmanModel(A, B, H, Q, R), FilterState(x0, P0), us, zs, 1,
-                 "sampled", shots=4096, iterations=1, seed=7,
+                 mode, shots=4096, iterations=1, seed=7,
                  kappa_policy=KappaPolicy.fixed(6.0))
-    assert [cols for _, _, cols, _ in walks] == [[0], list(range(n))]
-    op, ancillas, _, block = walks[1]
+    assert [(ancillas, cols) for _, ancillas, cols, _ in walks] == [
+        (5 * s + 2, list(range(n))), (s, list(range(n))),
+        (8 * s + 5, [0]), (9 * s + 4, list(range(n)))]
+    op, ancillas, _, block = walks[3]
     for col in range(n):
         single = ancilla_block(op, ancillas, [col])[:, 0]
         np.testing.assert_allclose(block[:, col], single, rtol=0, atol=1e-15)

@@ -80,28 +80,27 @@ def test_exact_probability_recovery(worked):
     probs = np.abs(amps) ** 2
     report = SampleReport(1, 1, 0, probs)
     alpha = worked.x_hat_be.alpha
-    ests = estimate_entries(report, alpha, [0, 1], signs=[1.0, 1.0])
-    got = [e.value for e in ests]
+    got, _ = estimate_entries(report, alpha, [0, 1], signs=[1.0, 1.0])
     want = alpha * np.abs(amps[:2])
     np.testing.assert_allclose(got, want, atol=1e-9)
-    assert all(e.sign_known for e in ests)
 
 
 def test_estimate_entries_signs_and_zero_counts():
     counts = np.array([400, 0, 600, 0], dtype=np.int64)
     report = SampleReport(1000, 1, 0, counts)
-    ests = estimate_entries(report, 2.0, [0, 1, 2], signs=[-1.0, 1.0, 1.0])
-    assert ests[0].value == pytest.approx(-2.0 * np.sqrt(0.4))
-    assert ests[0].magnitude == pytest.approx(2.0 * np.sqrt(0.4))
-    assert not ests[0].zero_count
-    assert ests[1].value == 0.0
-    assert ests[1].zero_count
-    assert ests[1].std_error == pytest.approx(2.0 / np.sqrt(1000))
-    unsigned = estimate_entries(report, 2.0, [0])
-    assert not unsigned[0].sign_known
-    assert unsigned[0].value > 0
-    with pytest.raises(DimensionError):
+    values, std_errors = estimate_entries(report, 2.0, [0, 1, 2],
+                                          signs=[-1.0, 1.0, 1.0])
+    assert values[0] == pytest.approx(-2.0 * np.sqrt(0.4))
+    assert std_errors[0] == pytest.approx(2.0 * np.sqrt(0.6) / (2.0 * np.sqrt(1000)))
+    assert values[1] == 0.0
+    assert std_errors[1] == pytest.approx(2.0 / np.sqrt(1000))
+    assert values[2] == pytest.approx(2.0 * np.sqrt(0.6))
+    unsigned, _ = estimate_entries(report, 2.0, [0])
+    assert unsigned[0] == pytest.approx(2.0 * np.sqrt(0.4))
+    with pytest.raises(DimensionError, match="target index 4"):
         estimate_entries(report, 2.0, [4])
+    with pytest.raises(DimensionError, match="target index -1"):
+        estimate_entries(report, 2.0, [-1])
 
 
 def test_error_bar_shrinks_with_iterations(worked):
@@ -114,9 +113,8 @@ def test_error_bar_shrinks_with_iterations(worked):
         reps = 4
         for rep in range(reps):
             report = pooled_report(amps, 16384, iterations, seed_base + rep)
-            ests = estimate_entries(report, alpha, [0, 1])
-            sq_err += np.mean([(e.magnitude - x) ** 2
-                               for e, x in zip(ests, exact)])
+            values, _ = estimate_entries(report, alpha, [0, 1])
+            sq_err += np.mean([(v - x) ** 2 for v, x in zip(values, exact)])
         rms = np.sqrt(sq_err / reps)
         scaled.append(rms * np.sqrt(report.total))
     # shot-noise scaling: rms * sqrt(N) stays flat across a 64x budget sweep
