@@ -25,7 +25,6 @@ from .tensor_ops import (  # noqa: F401
     frobenius_norm,
     identity_op,
     materialize,
-    materialize_block,
     op_stats,
     svd,
     unitarity_residual,
@@ -48,7 +47,6 @@ from .inversion import (  # noqa: F401
     eval_cheb,
     format_angles,
     inverse_poly,
-    inverse_poly_at_degree,
     qsp_response,
     qsvt_apply,
     smoothing_order,

@@ -415,11 +415,15 @@ def _cmd_invert(args) -> int:
         raise DimensionError(f"inversion needs a square matrix, got {mat.shape}")
     be = _encode_padded(mat)
     poly = inverse_poly(args.kappa, args.eps, args.degree_cap)
-    inv = be_invert(be, poly, solve_phase_factors(poly))
+    phi = solve_phase_factors(poly)
+    inv = be_invert(be, poly, phi)
     block = decode(inv)
     out = {
         "kappa": args.kappa,
         "eps_prime": args.eps,
+        "degree": poly.degree,
+        "solver_iterations": phi.iterations,
+        "solver_residual": phi.residual,
         "alpha": inv.alpha,
         "ancillas": inv.ancillas,
         "eps": inv.eps,

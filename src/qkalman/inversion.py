@@ -62,6 +62,13 @@ off the interior), under a global phase i^d. The response's imaginary
 part is removed by averaging the Phi and -Phi circuits behind one
 Hadamard-combined ancilla, so a_out = a_in + 1.
 
+When the input encoding fits `DENSE_THRESHOLD`, the two sign circuits
+are built as dense matrices in one chain: U is materialized once, and
+each of the d steps is one matmul with U or U^dag on the stacked
+(Phi, -Phi) pair followed by the projector phase, a row scaling by
+e^{+i phi} on the ancilla-zero rows and e^{-i phi} on the rest. Above
+the threshold they stay lazy `Product` trees of 2d+2 nodes each.
+
 Polynomials and phase lists share one LRU cache of _CACHE_SIZE entries;
 a hit returns the object built before, and `clear_cache()` empties it.
 """
@@ -84,12 +91,14 @@ from .errors import (
     SolverError,
 )
 from .tensor_ops import (
+    DENSE_THRESHOLD,
     Dense,
     Extend,
     Product,
     ProjectorPhase,
     Select,
     adjoint,
+    materialize,
     svd,
 )
 
@@ -231,15 +240,6 @@ def _normalized(odd: np.ndarray, kappa: float, err: float) -> ChebPoly:
     """The series over its peak (with the margin), err its unscaled error."""
     scale = _series_max(odd) / (1.0 - _MARGIN)
     return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale)
-
-
-def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebPoly:
-    """Truncation of the fixed-b series at a caller-chosen odd degree."""
-    if degree % 2 == 0:
-        raise ParityError(f"degree must be odd, got {degree}")
-    b = smoothing_order(kappa, eps_prime)
-    odd = _odd_series_one_over_x(b, (degree + 1) // 2)
-    return _normalized(odd, kappa, _measured_error(odd, kappa))
 
 
 def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebPoly:
@@ -502,8 +502,40 @@ def _qsvt_circuit(be: BlockEncoding, angles: np.ndarray):
     return Product(tuple(children))
 
 
+def _dense_sign_pair(be: BlockEncoding, angles: np.ndarray):
+    """Dense matrices of `_qsvt_circuit(be, angles)` and `_qsvt_circuit(be, -angles)`.
+
+    Both circuits run as one chain on a (2, 2^n, 2^n) array, right to
+    left: start from the last projector phase, then per step one batched
+    matmul with U or U^dag and one row scaling by the next projector
+    phase (e^{+i phi} on the 2^system_qubits ancilla-zero rows, which
+    come first, e^{-i phi} on the others); the global phase i^d last.
+    """
+    u = materialize(be.op)
+    u_dag = u.conj().T
+    refl = np.stack([_reflection_angles(angles), _reflection_angles(-angles)],
+                    axis=1)  # (d+1, 2)
+    d = refl.shape[0] - 1
+    dim = u.shape[0]
+    sign = np.where(np.arange(dim) < 2**be.system_qubits, 1.0, -1.0)
+    phases = np.exp(1j * refl[:, :, None] * sign)[..., None]  # (d+1, 2, dim, 1)
+    arr = phases[d] * np.eye(dim)
+    tmp = np.empty_like(arr)
+    for k in range(d, 0, -1):
+        np.matmul(u if k % 2 == 1 else u_dag, arr, out=tmp)
+        np.multiply(phases[k - 1], tmp, out=arr)
+    arr *= (1, 1j, -1, -1j)[d % 4]
+    return Dense(arr[0]), Dense(arr[1])
+
+
 def _transform(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
-    """The odd transform (Phi and -Phi averaged); callers check sigma."""
+    """The odd transform (Phi and -Phi averaged); callers check sigma.
+
+    The sign circuits are dense leaves (`_dense_sign_pair`) when the
+    input encoding has at most `DENSE_THRESHOLD` qubits, lazy
+    `_qsvt_circuit` trees otherwise; either way they sit under one
+    Hadamard-controlled select.
+    """
     d = phi.degree
     if d % 2 == 0:
         raise ParityError(f"even degree {d} not supported")
@@ -511,8 +543,11 @@ def _transform(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
         raise ApproximationError(
             f"transform needs an exact encoding, got eps={be_a.eps:.3g}")
     n = be_a.op.nqubits
-    plus = _qsvt_circuit(be_a, phi.angles)
-    minus = _qsvt_circuit(be_a, -phi.angles)
+    if n <= DENSE_THRESHOLD:
+        plus, minus = _dense_sign_pair(be_a, phi.angles)
+    else:
+        plus = _qsvt_circuit(be_a, phi.angles)
+        minus = _qsvt_circuit(be_a, -phi.angles)
     h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     op = Product((
         Extend(h, n + 1, (0,)),
@@ -554,6 +589,10 @@ def be_invert(be_a: BlockEncoding, poly: ChebPoly,
     p(x) ~ 1/x is the adjoint of the inverse. The phases are therefore run
     on the adjoint encoding, so the output block is Vh^dag p(S) W^dag and
     the decoded result approximates A^{-1} itself.
+
+    When the encoding has at most `DENSE_THRESHOLD` qubits, the Phi and
+    -Phi circuits come out as two dense leaves, built here by one chain
+    of d matmuls; larger encodings get the lazy trees.
     """
     block = decode(be_a) / be_a.alpha
     _, sigma, _ = svd(block)

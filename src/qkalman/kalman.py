@@ -26,11 +26,14 @@ replaces each decoded column by seeded shots over its n target outcomes
 plus one rest outcome for every other basis state, estimating entries as
 alpha*sqrt(frequency) with the signs of the decoded values.
 
-Stage encodings stay lazy trees. Only the inverse is compacted
-(`tensor_ops.compact_operator`), because it is the one sub-circuit that
-repeats: its singular value transform applies the re-encoded innovation
-block and its adjoint d times, while every other stage is one product
-or one LCU sum.
+Stage encodings stay lazy trees. Only the inverse is dense, because it
+is the one sub-circuit that repeats: its singular value transform
+applies the re-encoded innovation block and its adjoint d times, while
+every other stage is one product or one LCU sum. `be_invert` already
+builds its two sign circuits as dense leaves when the encoding has at
+most `DENSE_THRESHOLD` qubits (s <= 3); `tensor_ops.compact_operator`
+then folds what is left of the inverse at or below the threshold, at
+s <= 2 the Hadamard wrapper around them, into one leaf.
 
 The innovation dimension must fill its register exactly (m = 2^s):
 zero-padding would make the padded innovation covariance singular and

@@ -15,8 +15,9 @@ Conventions used throughout the package:
   a+s qubits costs about 2^(live wires) amplitudes per column.
 * Dense leaves have whatever width their builder chose (a
   data-structure encoding's leaves span 2s qubits).
-  ``DENSE_THRESHOLD`` limits only what ``compact_operator`` and
-  ``materialize`` turn into a dense matrix.
+  ``DENSE_THRESHOLD`` limits what ``compact_operator`` and
+  ``materialize`` turn into a dense matrix, and so the encodings whose
+  inverse transform ``inversion`` builds as dense sign circuits.
 * ``Product((A, B))`` means the matrix product A @ B, i.e. B is applied
   first. ``Select(u0, u1)`` is |0><0| (x) u0 + |1><1| (x) u1 with the
   control on wire 0. ``Extend`` embeds a child operator on an explicit
@@ -281,22 +282,6 @@ def materialize(op: QOperator, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
     return _apply_batch(op, eye)
 
 
-def materialize_block(op: QOperator, rows, cols) -> np.ndarray:
-    """Entries <row_i| U |col_j>, computed by applying op to basis columns."""
-    rows = list(rows)
-    cols = list(cols)
-    dim = 2**op.nqubits
-    if rows and (min(rows) < 0 or max(rows) >= dim):
-        raise DimensionError("row index out of range")
-    if cols and (min(cols) < 0 or max(cols) >= dim):
-        raise DimensionError("column index out of range")
-    basis = np.zeros((dim, len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        basis[c, j] = 1.0
-    image = _apply_batch(op, basis)
-    return image[rows, :]
-
-
 class _AncillaZeroWalk:
     """One traversal for ancilla_block; holds nothing past the call.
 
@@ -407,8 +392,9 @@ def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
     """Columns of the ancilla-zero block: <0^a, i| U |0^a, j> for every i.
 
     Returns an array of shape (2**(n - ancillas), len(cols)), equal to
-    materialize_block(op, range(2**(n - ancillas)), cols). The tree is
-    walked with a state over live wires only: the system register, plus
+    rows 0..2**(n - ancillas) - 1 of op applied to the basis columns
+    `cols`. The tree is walked with a state over live wires only: the
+    system register, plus
     each ancilla wire from the first node that touches it until after
     the last one, where it is projected onto |0>. Exact: a projection
     commutes with every later node, which acts as identity on that wire.
@@ -436,7 +422,9 @@ def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperat
     basis columns through the subtree, so it pays off only for a
     sub-circuit that repeats work, such as the singular value transform,
     which applies one encoding and its adjoint d times: the leaf then
-    does in one matrix product what a lazy walk would do d times. A
+    does in one matrix product what a lazy walk would do d times. (The
+    transform's sign circuits already come out dense from `inversion`
+    at or below the threshold, by a cheaper chain than this one.) A
     subtree without repetition is cheaper to walk lazily.
     """
     if op.nqubits <= threshold:

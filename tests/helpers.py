@@ -5,6 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from qkalman.errors import DimensionError, ParityError
+from qkalman.inversion import (
+    ChebPoly,
+    _measured_error,
+    _normalized,
+    _odd_series_one_over_x,
+    smoothing_order,
+)
+from qkalman.tensor_ops import QOperator, _apply_batch
+
 
 def philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -163,3 +173,28 @@ def fraction_series_one_over_x(b: int) -> np.ndarray:
         tails[j] = partial
     return np.array([4 * (-1) ** j * float(Fraction(tails[j], denom))
                      for j in range(b)])
+
+
+def materialize_block(op: QOperator, rows, cols) -> np.ndarray:
+    """Entries <row_i| U |col_j>, computed by applying op to basis columns."""
+    rows = list(rows)
+    cols = list(cols)
+    dim = 2**op.nqubits
+    if rows and (min(rows) < 0 or max(rows) >= dim):
+        raise DimensionError("row index out of range")
+    if cols and (min(cols) < 0 or max(cols) >= dim):
+        raise DimensionError("column index out of range")
+    basis = np.zeros((dim, len(cols)), dtype=complex)
+    for j, c in enumerate(cols):
+        basis[c, j] = 1.0
+    image = _apply_batch(op, basis)
+    return image[rows, :]
+
+
+def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebPoly:
+    """Truncation of the fixed-b series at a caller-chosen odd degree."""
+    if degree % 2 == 0:
+        raise ParityError(f"degree must be odd, got {degree}")
+    b = smoothing_order(kappa, eps_prime)
+    odd = _odd_series_one_over_x(b, (degree + 1) // 2)
+    return _normalized(odd, kappa, _measured_error(odd, kappa))

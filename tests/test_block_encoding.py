@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import philox, rand_with_sigma
+from helpers import materialize_block, philox, rand_with_sigma
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import (
     BlockEncoding,
@@ -25,7 +25,6 @@ from qkalman.tensor_ops import (
     ancilla_block,
     compact_operator,
     identity_op,
-    materialize_block,
     unitarity_residual,
 )
 

@@ -298,6 +298,8 @@ def test_invert_command(tmp_path, capsys):
     np.savetxt(path, np.diag([13.0, 4.0]), delimiter=",")
     assert main(["invert", str(path), "--kappa", "3.5", "--eps", "0.01"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert out["degree"] == 57
+    assert out["solver_iterations"] > 0 and out["solver_residual"] <= 1e-6
     got = np.array(out["inverse_re"])
     np.testing.assert_allclose(got, np.diag([1 / 13, 1 / 4]), atol=1e-2)
     assert out["eps"] >= abs(got[0, 0] - 1 / 13)

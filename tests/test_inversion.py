@@ -6,13 +6,14 @@ import pytest
 import qkalman.inversion as inversion
 from helpers import (
     fraction_series_one_over_x,
+    inverse_poly_at_degree,
     philox,
     rand_with_sigma,
     stacked_insertions,
     stacked_residual_and_jac,
     stacked_response,
 )
-from qkalman.block_encoding import decode, encode_svd_dilation
+from qkalman.block_encoding import decode, encode_data_structure, encode_svd_dilation
 from qkalman.errors import (
     ApproximationError,
     DimensionError,
@@ -28,11 +29,17 @@ from qkalman.inversion import (
     eval_cheb,
     format_angles,
     inverse_poly,
-    inverse_poly_at_degree,
     qsp_response,
     qsvt_apply,
     smoothing_order,
     solve_phase_factors,
+)
+from qkalman.tensor_ops import (
+    DENSE_THRESHOLD,
+    Dense,
+    materialize,
+    op_stats,
+    unitarity_residual,
 )
 
 
@@ -421,6 +428,37 @@ def test_qsvt_rejects_bad_inputs():
     stretched = type(be)(Dense(np.eye(4) * 1.2), 1.0, 1, 1)  # block norm 1.2
     with pytest.raises(SigmaRangeError):
         qsvt_apply(stretched, PhaseFactors([np.pi / 4, -np.pi / 4]))
+
+
+ENCODERS = {"data_structure": encode_data_structure,
+            "svd_dilation": encode_svd_dilation}
+
+
+@pytest.mark.parametrize("degree", [1, 3, 57])
+@pytest.mark.parametrize("encoding", sorted(ENCODERS))
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_dense_sign_circuits_match_the_lazy_circuits(s, encoding, degree):
+    # at or below the threshold the transform's Phi and -Phi circuits are
+    # dense leaves, and they must be the unitaries of the lazy circuits
+    rng = philox(1000 * s + degree)
+    be = ENCODERS[encoding](rand_with_sigma(rng, rng.uniform(0.1, 0.95, 2**s)))
+    assert be.op.nqubits <= DENSE_THRESHOLD
+    angles = rng.uniform(-np.pi, np.pi, degree + 1)
+    select = inversion._transform(be, PhaseFactors(angles)).op.children[1]
+    for leaf, sign in ((select.u0, 1.0), (select.u1, -1.0)):
+        assert isinstance(leaf, Dense)
+        want = materialize(inversion._qsvt_circuit(be, sign * angles))
+        np.testing.assert_allclose(materialize(leaf), want, rtol=0, atol=1e-12)
+        assert unitarity_residual(leaf) <= 1e-12
+
+
+def test_transform_stays_lazy_above_the_dense_threshold():
+    rng = philox(1004)
+    be = encode_data_structure(rand_with_sigma(rng, rng.uniform(0.1, 0.95, 16)))
+    assert be.op.nqubits > DENSE_THRESHOLD
+    d = 9
+    out = inversion._transform(be, PhaseFactors(rng.uniform(-np.pi, np.pi, d + 1)))
+    assert op_stats(out.op)["projector_phase"] == 2 * (d + 2)
 
 
 def test_be_invert_random_matrices():

@@ -70,3 +70,19 @@ def test_sampling_sweep_writes_a_row_per_point(tmp_path):
     for r in rows:
         assert r["within_6_sigma"]
         assert r["pooled_ms"] > 0 and r["reference_ms"] > 0
+
+
+def test_transform_sweep_writes_a_row_per_point(tmp_path):
+    out = tmp_path / "BENCH_transform.json"
+    lines = run_script("transform_sweep.py", "--out", str(out))
+    assert lines[-1].endswith(str(out))
+    report = json.loads(out.read_text())
+    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    rows = report["rows"]
+    assert [(r["system_qubits"], r["kappa"], r["eps_prime"]) for r in rows] == [
+        (s, k, 0.01) for s in (1, 2, 3) for k in (3.0, 6.0, 12.0)]
+    assert [r["degree"] for r in rows[:3]] == [47, 105, 231]
+    for r in rows:
+        assert r["max_abs_diff"] <= 1e-12
+        assert r["unitarity_residual"] <= 1e-12
+        assert r["tree_ms"] > 0 and 0 < r["dense_ms"]

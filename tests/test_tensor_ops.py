@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import philox, rand_orthogonal
+from helpers import materialize_block, philox, rand_orthogonal
 from qkalman.errors import DimensionError, NumericalFailureError
 from qkalman.tensor_ops import (
     Dense,
@@ -17,7 +17,6 @@ from qkalman.tensor_ops import (
     compact_operator,
     identity_op,
     materialize,
-    materialize_block,
     op_stats,
     unitarity_residual,
 )
