@@ -22,7 +22,6 @@ from .tensor_ops import (  # noqa: F401
     as_matrix,
     basis_state,
     compact_operator,
-    frobenius_norm,
     identity_op,
     materialize,
     op_stats,

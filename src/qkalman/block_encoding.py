@@ -5,16 +5,17 @@ A BlockEncoding holds a unitary U on a+s qubits such that
     M ~= alpha * (<0^a| (x) I_s) U (|0^a> (x) I_s)
 
 with the ancilla register most significant. Two constructors are
-provided: the data-structure encoding (alpha = Frobenius norm, a = s)
-whose row/column state preparations are completed to full unitaries by
-QR, and a single-ancilla dilation built from the SVD of a contraction.
+provided: the data-structure encoding (alpha = Frobenius norm, a = s),
+one dense leaf in closed form, and a single-ancilla dilation built from
+the SVD of a contraction.
 
 Note on the data-structure encoding: with ancillas most significant,
 the decoded entry is <0,i|U_L^dag U_R|0,j>, and making that equal
-M_ij/||M||_F requires COLUMN-based preparations:
+M_ij/||M||_F requires COLUMN-based preparations (no QR completion):
 
-    U_R |0^s>|j> = |j> (x) sum_i (M_ij/||col_j||) |i>
-    U_L |0^s>|j> = (sum_i ||col_i||/||M||_F |i>) (x) |j>
+    U_R |c>|d> = |d> (x) V_d |c>,  V_d|0> = col_d/||col_d||
+    U_L |c>|j> = V_w |c> (x) |j>,  V_w|0> = sum_i ||col_i||/||M||_F |i>
+    <a,i| U_L^dag U_R |c,d> = conj(V_w[d, a]) V_d[i, c]
 
 A row-based variant decodes to the transpose; the constructor here is
 pinned by golden tests on a non-symmetric matrix.
@@ -33,10 +34,8 @@ from .tensor_ops import (
     Product,
     QOperator,
     Select,
-    adjoint,
     ancilla_block,
     as_matrix,
-    frobenius_norm,
     identity_op,
     svd,
     unitarity_residual,
@@ -71,64 +70,61 @@ class BlockEncoding:
 
 
 def pad_to_square(m, s: int) -> np.ndarray:
-    """Embed m in the upper-left corner of a 2^s x 2^s zero matrix."""
-    m = as_matrix(m)
+    """Embed m in the upper-left corner of a 2^s x 2^s zero matrix (shape only)."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
     dim = 2**s
-    rows, cols = m.shape
-    if rows > dim or cols > dim:
+    if m.ndim != 2 or m.shape[0] > dim or m.shape[1] > dim:
         raise DimensionError(f"matrix {m.shape} does not fit in 2^{s} x 2^{s}")
     out = np.zeros((dim, dim), dtype=complex)
-    out[:rows, :cols] = m
+    out[:m.shape[0], :m.shape[1]] = m
     return out
 
 
-def _complete_columns(cols: np.ndarray) -> np.ndarray:
-    """Unitary whose first k columns are the given orthonormal columns."""
-    dim, k = cols.shape
-    if k == dim:
-        return cols.copy()
-    q, _ = np.linalg.qr(cols, mode="complete")
-    return np.hstack([cols, q[:, k:]])
+def _state_preparations(vecs) -> np.ndarray:
+    """Unitaries V_k with V_k e_0 = vecs[k] exactly, one Householder reflection each.
+
+    With theta the phase of v_0 and w = e^{-i theta} v + e_0 (w^dag w >= 2),
+    V = -e^{i theta} (I - 2 w w^dag / w^dag w); column 0 is then set to v.
+    """
+    vecs = np.asarray(vecs, dtype=complex)
+    phase = np.exp(1j * np.angle(vecs[:, 0]))[:, None]
+    w = vecs * phase.conj()
+    w[:, 0] += 1.0
+    scale = 2.0 / np.einsum("ki,ki->k", w.conj(), w).real
+    out = np.einsum("ki,kj->kij", w * scale[:, None], w.conj())
+    out -= np.eye(vecs.shape[1])
+    out *= phase[:, :, None]
+    out[:, :, 0] = vecs
+    return out
 
 
 def encode_data_structure(m, shape: tuple | None = None) -> BlockEncoding:
     """Block-encode a square matrix with alpha = ||M||_F and a = s ancillas.
 
-    The operator is Product((U_L^dag, U_R)) on 2s qubits: two dense
-    unitaries built from normalized column preparations and completed by
-    QR, U_L^dag stored as its conjugate transpose (`adjoint`). Exact in
-    simulation (eps = 0).
+    The operator is one Dense leaf U = U_L^dag U_R on 2s qubits with
+    <a,i|U|c,d> = conj(V_w[d, a]) V_d[i, c] (module note; a zero column
+    prepares |0>), from n + 1 batched `_state_preparations`: O(n^4) time
+    and memory for n = 2^s. Exact in simulation (eps = 0).
     """
     m = as_matrix(m)
     dim = m.shape[0]
     s = int(dim).bit_length() - 1
     if m.shape[0] != m.shape[1] or dim != 2**s:
         raise DimensionError(f"need a 2^s square matrix, got {m.shape}")
-    alpha = frobenius_norm(m)
+    alpha = float(np.linalg.norm(m))
     if alpha == 0.0:
         raise DegenerateInputError("cannot encode the zero matrix")
 
     col_norms = np.linalg.norm(m, axis=0)
-    # U_R columns: |0,j> -> |j> (x) |col_j / ||col_j||>; zero columns prepare |0>.
-    ur_cols = np.zeros((dim * dim, dim), dtype=complex)
-    for j in range(dim):
-        sys_part = np.zeros(dim, dtype=complex)
-        if col_norms[j] > 0:
-            sys_part = m[:, j] / col_norms[j]
-        else:
-            sys_part[0] = 1.0
-        anc_part = np.zeros(dim, dtype=complex)
-        anc_part[j] = 1.0
-        ur_cols[:, j] = np.kron(anc_part, sys_part)
-    u_r = Dense(_complete_columns(ur_cols))
-
-    # U_L columns: |0,j> -> |weights> (x) |j> with weights_i = ||col_i|| / ||M||_F.
-    weights = col_norms / alpha
-    ul_cols = np.kron(weights.reshape(-1, 1), np.eye(dim, dtype=complex))
-    u_l = Dense(_complete_columns(ul_cols))
-
-    op = Product((adjoint(u_l), u_r))
-    return BlockEncoding(op, alpha, s, s, 0.0, shape)
+    cols = np.zeros((dim + 1, dim), dtype=complex)
+    cols[:dim, 0] = 1.0
+    nonzero = col_norms > 0
+    cols[:dim][nonzero] = (m[:, nonzero] / col_norms[nonzero]).T
+    cols[dim] = col_norms / alpha
+    preps = _state_preparations(cols)
+    leaf = np.einsum("da,dic->aicd", preps[dim].conj(), preps[:dim], order="C")
+    return BlockEncoding(Dense(leaf.reshape(dim * dim, dim * dim)), alpha, s, s,
+                         0.0, shape)
 
 
 def encode_svd_dilation(m_scaled, alpha: float = 1.0,

@@ -26,14 +26,14 @@ replaces each decoded column by seeded shots over its n target outcomes
 plus one rest outcome for every other basis state, estimating entries as
 alpha*sqrt(frequency) with the signs of the decoded values.
 
-Stage encodings stay lazy trees. Only the inverse is dense, because it
-is the one sub-circuit that repeats: its singular value transform
-applies the re-encoded innovation block and its adjoint d times, while
-every other stage is one product or one LCU sum. `be_invert` already
-builds its two sign circuits as dense leaves when the encoding has at
-most `DENSE_THRESHOLD` qubits (s <= 3); `tensor_ops.compact_operator`
-then folds what is left of the inverse at or below the threshold, at
-s <= 2 the Hadamard wrapper around them, into one leaf.
+Each encoding is one dense leaf; stages combine them into lazy trees.
+Only the inverse is compacted, because it is the one sub-circuit that
+repeats: its transform applies the re-encoded innovation leaf and its
+adjoint d times, while every other stage is one product or LCU sum.
+`be_invert` builds its two sign circuits as dense leaves when the
+encoding has at most `DENSE_THRESHOLD` qubits (s <= 3);
+`tensor_ops.compact_operator` then folds what is left of the inverse at
+or below the threshold, at s <= 2 the Hadamard wrapper, into one leaf.
 
 The innovation dimension must fill its register exactly (m = 2^s):
 zero-padding would make the padded innovation covariance singular and
@@ -58,6 +58,7 @@ from .block_encoding import (
 )
 from .errors import (
     ConfigError,
+    DegenerateInputError,
     DimensionError,
     MeasurementBudgetError,
     NumericalFailureError,
@@ -271,10 +272,10 @@ def encode_matrix(mat, s: int) -> BlockEncoding:
     """Data-structure encoding of a (padded) matrix; zero matrices get the
     dedicated zero encoding so alpha stays positive."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    padded = pad_to_square(mat, s)
-    if np.linalg.norm(padded) == 0.0:
+    try:
+        return encode_data_structure(pad_to_square(mat, s), shape=mat.shape)
+    except DegenerateInputError:
         return encode_zero(s, 1.0, shape=mat.shape)
-    return encode_data_structure(padded, shape=mat.shape)
 
 
 def encode_vector(vec, s: int) -> BlockEncoding:

@@ -14,7 +14,7 @@ Conventions used throughout the package:
   have touched and nodes still to come will touch, so a register of
   a+s qubits costs about 2^(live wires) amplitudes per column.
 * Dense leaves have whatever width their builder chose (a
-  data-structure encoding's leaves span 2s qubits).
+  data-structure encoding is one leaf on 2s qubits).
   ``DENSE_THRESHOLD`` limits what ``compact_operator`` and
   ``materialize`` turn into a dense matrix, and so the encodings whose
   inverse transform ``inversion`` builds as dense sign circuits.
@@ -55,11 +55,6 @@ def as_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericalFailureError("matrix contains non-finite entries")
     return m
-
-
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(as_matrix(m)))
 
 
 def svd(m):
@@ -273,13 +268,14 @@ def apply(op: QOperator, psi: np.ndarray) -> np.ndarray:
 
 
 def materialize(op: QOperator, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-    """Full dense matrix of op; refuses above the qubit threshold."""
+    """Full dense matrix of op (a copy for a bare leaf); refuses above the threshold."""
     if op.nqubits > threshold:
         raise DimensionError(
             f"refusing to materialize {op.nqubits} qubits (threshold {threshold})"
         )
-    eye = np.eye(2**op.nqubits, dtype=complex)
-    return _apply_batch(op, eye)
+    if isinstance(op, Dense):
+        return op.matrix.copy()
+    return _apply_batch(op, np.eye(2**op.nqubits, dtype=complex))
 
 
 class _AncillaZeroWalk:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qkalman.block_encoding import BlockEncoding
 from qkalman.errors import DimensionError, ParityError
 from qkalman.inversion import (
     ChebPoly,
@@ -13,7 +14,7 @@ from qkalman.inversion import (
     _odd_series_one_over_x,
     smoothing_order,
 )
-from qkalman.tensor_ops import QOperator, _apply_batch
+from qkalman.tensor_ops import Dense, Product, QOperator, _apply_batch, adjoint
 
 
 def philox(seed) -> np.random.Generator:
@@ -198,3 +199,41 @@ def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebP
     b = smoothing_order(kappa, eps_prime)
     odd = _odd_series_one_over_x(b, (degree + 1) // 2)
     return _normalized(odd, kappa, _measured_error(odd, kappa))
+
+
+def _complete_columns(cols: np.ndarray) -> np.ndarray:
+    """Unitary whose first k columns are the given orthonormal columns."""
+    dim, k = cols.shape
+    if k == dim:
+        return cols.copy()
+    q, _ = np.linalg.qr(cols, mode="complete")
+    return np.hstack([cols, q[:, k:]])
+
+
+def encode_data_structure_qr(m) -> BlockEncoding:
+    """Reference data-structure encoding: Product((U_L^dag, U_R)) by QR completion.
+
+    U_R |0,j> = |j> (x) col_j/||col_j|| (|0> for a zero column) and
+    U_L |0,j> = |weights> (x) |j>, each completed to a unitary by a full
+    QR. Same block and alpha as `encode_data_structure`, another complement.
+    """
+    m = np.asarray(m, dtype=complex)
+    dim = m.shape[0]
+    s = int(dim).bit_length() - 1
+    alpha = float(np.linalg.norm(m))
+    col_norms = np.linalg.norm(m, axis=0)
+    ur_cols = np.zeros((dim * dim, dim), dtype=complex)
+    for j in range(dim):
+        sys_part = np.zeros(dim, dtype=complex)
+        if col_norms[j] > 0:
+            sys_part = m[:, j] / col_norms[j]
+        else:
+            sys_part[0] = 1.0
+        anc_part = np.zeros(dim, dtype=complex)
+        anc_part[j] = 1.0
+        ur_cols[:, j] = np.kron(anc_part, sys_part)
+    weights = col_norms / alpha
+    ul_cols = np.kron(weights.reshape(-1, 1), np.eye(dim, dtype=complex))
+    op = Product((adjoint(Dense(_complete_columns(ul_cols))),
+                  Dense(_complete_columns(ur_cols))))
+    return BlockEncoding(op, alpha, s, s)

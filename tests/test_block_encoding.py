@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import materialize_block, philox, rand_with_sigma
+from helpers import encode_data_structure_qr, materialize_block, philox, rand_with_sigma
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import (
     BlockEncoding,
+    _state_preparations,
     decode,
     encode_data_structure,
     encode_svd_dilation,
@@ -22,6 +23,7 @@ from qkalman.errors import (
 )
 from qkalman.inversion import be_invert, inverse_poly, solve_phase_factors
 from qkalman.tensor_ops import (
+    Dense,
     ancilla_block,
     compact_operator,
     identity_op,
@@ -96,6 +98,60 @@ def test_encode_shape_crops_decode():
     out = decode(be)
     assert out.shape == (2, 1)
     np.testing.assert_allclose(out, vec, atol=1e-12)
+
+
+def encoding_inputs(s):
+    """Real, complex, zero-column and identity inputs on s system qubits."""
+    rng = philox(500 + s)
+    dim = 2**s
+    zero_cols = rng.standard_normal((dim, dim))
+    zero_cols[:, ::2] = 0.0
+    return {
+        "real": rng.standard_normal((dim, dim)),
+        "complex": rng.standard_normal((dim, dim))
+        + 1j * rng.standard_normal((dim, dim)),
+        "zero_columns": zero_cols,
+        "identity": np.eye(dim),
+    }
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "zero_columns", "identity"])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_encoding_is_one_leaf_with_the_qr_pairs_block(s, kind):
+    # the closed-form leaf and the QR-completed pair differ only in the
+    # complement: the ancilla-zero block and alpha agree bit for bit
+    m = encoding_inputs(s)[kind]
+    be = encode_data_structure(m)
+    ref = encode_data_structure_qr(m)
+    assert isinstance(be.op, Dense) and be.op.nqubits == 2 * s
+    assert be.alpha == ref.alpha
+    assert (be.ancillas, be.system_qubits) == (ref.ancillas, ref.system_qubits)
+    cols = range(2**s)
+    assert np.array_equal(ancilla_block(be.op, s, cols),
+                          ancilla_block(ref.op, s, cols))
+    assert np.array_equal(decode(be), decode(ref))
+    assert unitarity_residual(be.op) <= 1e-14
+
+
+def edge_vectors(dim):
+    """e_0, -e_0, a zero first entry and a complex first entry, normalized."""
+    rng = philox(600 + dim)
+    e0 = np.zeros(dim, dtype=complex)
+    e0[0] = 1.0
+    zero_first = rng.standard_normal(dim) + 0j
+    zero_first[0] = 0.0
+    complex_first = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vecs = np.stack([e0, -e0, zero_first, complex_first])
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_state_preparations_are_unitary_and_prepare_exactly(dim):
+    vecs = edge_vectors(dim)
+    preps = _state_preparations(vecs)
+    for v, prep in zip(vecs, preps):
+        assert np.array_equal(prep[:, 0], v)
+        assert np.max(np.abs(prep.conj().T @ prep - np.eye(dim))) <= 1e-14
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

@@ -458,7 +458,11 @@ def test_transform_stays_lazy_above_the_dense_threshold():
     assert be.op.nqubits > DENSE_THRESHOLD
     d = 9
     out = inversion._transform(be, PhaseFactors(rng.uniform(-np.pi, np.pi, d + 1)))
-    assert op_stats(out.op)["projector_phase"] == 2 * (d + 2)
+    stats = op_stats(out.op)
+    assert stats["projector_phase"] == 2 * (d + 2)
+    # one leaf per application of U or U^dag in each circuit, plus the
+    # two Hadamards of the select
+    assert stats["dense"] == 2 * d + 2
 
 
 def test_be_invert_random_matrices():

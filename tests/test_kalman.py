@@ -427,15 +427,15 @@ def test_stage_ancillas_scale_linearly_without_decode():
     assert math.isfinite(x_hat.alpha)
 
 
-def _check_exact_filter(seed: int, spectrum, s: int):
-    """Two exact margin-policy steps stay within the ledger's eps bounds."""
+def _check_exact_filter(seed: int, spectrum, s: int, steps: int = 2):
+    """Exact margin-policy steps stay within the ledger's eps bounds."""
     A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
-        philox(seed), spectrum, 2)
+        philox(seed), spectrum, steps)
     model = KalmanModel(A, B, H, Q, R)
-    traj, ledger = q_filter_run(model, FilterState(x0, P0), us, zs, 2,
+    traj, ledger = q_filter_run(model, FilterState(x0, P0), us, zs, steps,
                                 kappa_policy=KappaPolicy.margin(1.1))
     assert ledger.find("alpha_P", 1).ancillas == 9 * s + 4
-    for k in (1, 2):
+    for k in range(1, steps + 1):
         want = classical_step(model, traj[k - 1], us[k - 1], zs[k - 1])
         x_err = np.max(np.abs(traj[k].x_hat - want.x_hat))
         p_err = np.linalg.norm(traj[k].P - want.P, 2)
@@ -450,8 +450,13 @@ def test_exact_filter_at_eight_states():
 
 
 def test_exact_filter_at_sixteen_states():
-    # s = 4: 40 ancillas on P; the data-structure leaves span 8 qubits
+    # s = 4: 40 ancillas on P; each data-structure encoding is one 8-qubit leaf
     _check_exact_filter(63, np.linspace(2.0, 1.0, 16), 4)
+
+
+def test_exact_filter_at_thirty_two_states():
+    # s = 5: 49 ancillas on P; one step, each encoding a 10-qubit leaf (16 MB)
+    _check_exact_filter(64, np.linspace(2.0, 1.0, 32), 5, steps=1)
 
 
 def test_four_state_decode_stays_small():

@@ -86,3 +86,25 @@ def test_transform_sweep_writes_a_row_per_point(tmp_path):
         assert r["max_abs_diff"] <= 1e-12
         assert r["unitarity_residual"] <= 1e-12
         assert r["tree_ms"] > 0 and 0 < r["dense_ms"]
+
+
+def test_encoding_sweep_writes_a_row_per_point(tmp_path):
+    out = tmp_path / "BENCH_encoding.json"
+    lines = run_script("encoding_sweep.py", "--out", str(out))
+    assert lines[-1].endswith(str(out))
+    report = json.loads(out.read_text())
+    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    encodings = report["encodings"]
+    assert [r["system_qubits"] for r in encodings] == [1, 2, 3, 4, 5]
+    for r in encodings:
+        s = r["system_qubits"]
+        assert r["leaf_qubits"] == 2 * s
+        assert r["leaf_bytes"] == 16 * 2 ** (4 * s)
+        assert r["unitarity_residual"] <= 1e-14
+        assert r["max_abs_decode_error"] <= 1e-12
+        assert r["encode_ms"] > 0
+    steps = report["steps"]
+    assert [(r["states"], r["degree"]) for r in steps] == [(16, 119), (32, 177)]
+    for r in steps:
+        assert r["x_hat_error"] <= r["x_hat_eps"]
+        assert r["step_s"] > 0 and r["peak_rss_mb"] > 0

@@ -144,6 +144,14 @@ def test_basis_state():
     assert vec[5] == 1.0 and np.count_nonzero(vec) == 1
 
 
+def test_materialize_copies_a_dense_leaf():
+    u = Dense(rand_orthogonal(philox(8), 4))
+    got = materialize(u)
+    assert np.array_equal(got, u.matrix) and got is not u.matrix
+    got[0, 0] = 7.0
+    assert u.matrix[0, 0] != 7.0
+
+
 def test_materialize_refuses_large_operators():
     with pytest.raises(DimensionError):
         materialize(identity_op(12))
