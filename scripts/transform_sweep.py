@@ -7,15 +7,14 @@ For s in {1, 2, 3} system qubits and kappa in {3, 6, 12} at eps' 0.01 it
 builds the phases of `inverse_poly(kappa, eps')` and a data-structure
 encoding of a random 2^s x 2^s matrix (2s qubits, as the filter's
 re-encoded innovation), then times, REPEATS times each, the two ways of
-turning the transform into what the filter walks:
+turning the transform into one dense leaf:
 
-* `tree_ms`: the lazy `_qsvt_circuit` pair under the Hadamard select,
-  then `compact_operator`, which pushes every basis column through all
-  4d+4 nodes (the route before the dense chain);
-* `dense_ms`: `inversion._transform`, which builds the two sign
-  circuits as dense leaves in one chain of d batched matmuls;
-  `dense_compact_ms` adds the `compact_operator` call `q_gain` still
-  makes on it.
+* `tree_ms`: the lazy `_qsvt_circuit` (Hadamard-wrapped select over
+  the Phi and -Phi circuits), then `compact_operator`, which walks
+  every basis column through the 4d+4 nodes of the two circuits;
+* `dense_ms`: `inversion._transform`, which runs the two sign circuits
+  as one chain of d batched matmuls and averages them in closed form,
+  the leaf `be_invert` hands the filter.
 
 Each row records the degree, those medians, the max |entry difference|
 between the two transform unitaries and the dense one's
@@ -42,10 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import qkalman.inversion as inversion  # noqa: E402
 from qkalman.block_encoding import encode_data_structure  # noqa: E402
 from qkalman.tensor_ops import (  # noqa: E402
-    Dense,
-    Extend,
-    Product,
-    Select,
+    adjoint,
     compact_operator,
     materialize,
     unitarity_residual,
@@ -60,16 +56,9 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def tree_route(be, phi):
-    """The transform as lazy sign circuits under the select, then compacted."""
-    n = be.op.nqubits
-    h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    op = Product((
-        Extend(h, n + 1, (0,)),
-        Select(inversion._qsvt_circuit(be, phi.angles),
-               inversion._qsvt_circuit(be, -phi.angles)),
-        Extend(h, n + 1, (0,)),
-    ))
-    return compact_operator(op)
+    """The lazy transform circuit, compacted into one leaf."""
+    return compact_operator(
+        inversion._qsvt_circuit(be.op, adjoint(be.op), be.ancillas, phi.angles))
 
 
 def median_ms(fn, *args):
@@ -92,14 +81,11 @@ def sweep() -> list[dict]:
             phi = inversion.solve_phase_factors(inversion.inverse_poly(kappa, EPS_PRIME))
             tree_ms, tree = median_ms(tree_route, be, phi)
             dense_ms, dense = median_ms(inversion._transform, be, phi)
-            dense_compact_ms, _ = median_ms(
-                lambda: compact_operator(inversion._transform(be, phi).op))
             width = be.op.nqubits + 1
-            diff = np.max(np.abs(materialize(tree, width) - materialize(dense.op, width)))
+            diff = np.max(np.abs(materialize(tree, width) - dense.op.matrix))
             rows.append({
                 "system_qubits": s, "kappa": kappa, "eps_prime": EPS_PRIME,
                 "degree": phi.degree, "tree_ms": tree_ms, "dense_ms": dense_ms,
-                "dense_compact_ms": dense_compact_ms,
                 "max_abs_diff": float(diff),
                 "unitarity_residual": unitarity_residual(dense.op),
             })
@@ -126,12 +112,11 @@ def main() -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"{'s':>2} {'kappa':>6} {'deg':>4} {'tree ms':>8} {'dense ms':>9} "
-          f"{'+compact':>9} {'max diff':>9} {'unitarity':>9}")
+          f"{'max diff':>9} {'unitarity':>9}")
     for r in rows:
         print(f"{r['system_qubits']:>2} {r['kappa']:>6} {r['degree']:>4} "
               f"{r['tree_ms']:>8.2f} {r['dense_ms']:>9.2f} "
-              f"{r['dense_compact_ms']:>9.2f} {r['max_abs_diff']:>9.1e} "
-              f"{r['unitarity_residual']:>9.1e}")
+              f"{r['max_abs_diff']:>9.1e} {r['unitarity_residual']:>9.1e}")
     print(f"wrote {args.out}")
     return 0
 

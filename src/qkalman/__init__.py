@@ -20,7 +20,6 @@ from .tensor_ops import (  # noqa: F401
     ancilla_block,
     apply,
     as_matrix,
-    basis_state,
     compact_operator,
     identity_op,
     materialize,

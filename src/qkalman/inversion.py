@@ -60,14 +60,17 @@ ancilla wires with U and U^dag (d applications, d+1 phases), at the
 reflection angles `_reflection_angles` derives (pi/4 off each end, pi/2
 off the interior), under a global phase i^d. The response's imaginary
 part is removed by averaging the Phi and -Phi circuits behind one
-Hadamard-combined ancilla, so a_out = a_in + 1.
+Hadamard-combined ancilla, so a_out = a_in + 1. U^dag is formed once
+per transform, by one `adjoint`.
 
-When the input encoding fits `DENSE_THRESHOLD`, the two sign circuits
-are built as dense matrices in one chain: U is materialized once, and
-each of the d steps is one matmul with U or U^dag on the stacked
+When the input encoding fits `DENSE_THRESHOLD`, the whole transform is
+one dense leaf on n+1 qubits: the two sign circuits run as one chain,
+each of the d steps one matmul with U or U^dag on the stacked
 (Phi, -Phi) pair followed by the projector phase, a row scaling by
-e^{+i phi} on the ancilla-zero rows and e^{-i phi} on the rest. Above
-the threshold they stay lazy `Product` trees of 2d+2 nodes each.
+e^{+i phi} on the ancilla-zero rows and e^{-i phi} on the rest, and
+the Hadamard average of the pair is taken in closed form. Above the
+threshold the transform stays a lazy tree, two `Product`s of 2d+2
+nodes under a Hadamard-wrapped `Select`.
 
 Polynomials and phase lists share one LRU cache of _CACHE_SIZE entries;
 a hit returns the object built before, and `clear_cache()` empties it.
@@ -81,7 +84,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import be_adjoint
 from .block_encoding import BlockEncoding, decode
 from .errors import (
     ApproximationError,
@@ -96,6 +98,7 @@ from .tensor_ops import (
     Extend,
     Product,
     ProjectorPhase,
+    QOperator,
     Select,
     adjoint,
     materialize,
@@ -482,80 +485,82 @@ def _reflection_angles(angles: np.ndarray) -> np.ndarray:
     return refl
 
 
-def _qsvt_circuit(be: BlockEncoding, angles: np.ndarray):
-    """Product tree: global i^d, then alternating projector phases and U/U^dag.
+def _qsvt_circuit(u: QOperator, u_dag: QOperator, ancillas: int,
+                  angles: np.ndarray) -> QOperator:
+    """The lazy transform: Extend(H) Select(Phi circuit, -Phi circuit) Extend(H).
 
-    `angles` are W_x phases; the projector phases are their reflection
-    angles. U^dag is one `adjoint` tree, shared by every position that
-    applies it.
+    `angles` are W_x phases; each sign circuit is a Product of the
+    global i^d, then alternating projector phases at their reflection
+    angles (on the `ancillas` leading wires) and U/U^dag. u_dag is one
+    tree, shared by every position of both circuits that applies U^dag.
     """
-    n = be.op.nqubits
-    anc = tuple(range(be.ancillas))
-    refl = _reflection_angles(angles)
-    d = refl.size - 1
-    u_dag = adjoint(be.op)
-    children = [ProjectorPhase((d % 4) * np.pi / 2, n, ())]  # global i^d
-    children.append(ProjectorPhase(refl[0], n, anc))
-    for k in range(1, d + 1):
-        children.append(be.op if k % 2 == 1 else u_dag)
-        children.append(ProjectorPhase(refl[k], n, anc))
-    return Product(tuple(children))
+    n = u.nqubits
+    anc = tuple(range(ancillas))
+    d = angles.size - 1
+
+    def sign_circuit(refl):
+        children = [ProjectorPhase((d % 4) * np.pi / 2, n, ()),  # global i^d
+                    ProjectorPhase(refl[0], n, anc)]
+        for k in range(1, d + 1):
+            children.append(u if k % 2 == 1 else u_dag)
+            children.append(ProjectorPhase(refl[k], n, anc))
+        return Product(tuple(children))
+
+    h = Extend(Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)), n + 1, (0,))
+    return Product((h, Select(sign_circuit(_reflection_angles(angles)),
+                              sign_circuit(_reflection_angles(-angles))), h))
 
 
-def _dense_sign_pair(be: BlockEncoding, angles: np.ndarray):
-    """Dense matrices of `_qsvt_circuit(be, angles)` and `_qsvt_circuit(be, -angles)`.
+def _dense_transform(u: QOperator, u_dag: QOperator, ancillas: int,
+                     angles: np.ndarray) -> Dense:
+    """The unitary of `_qsvt_circuit(u, u_dag, ancillas, angles)` as one leaf.
 
-    Both circuits run as one chain on a (2, 2^n, 2^n) array, right to
-    left: start from the last projector phase, then per step one batched
-    matmul with U or U^dag and one row scaling by the next projector
-    phase (e^{+i phi} on the 2^system_qubits ancilla-zero rows, which
-    come first, e^{-i phi} on the others); the global phase i^d last.
+    Both sign circuits run as one chain on a (2, 2^n, 2^n) array, right
+    to left: start from the last projector phase, then per step one
+    batched matmul with U or U^dag and one row scaling by the next
+    projector phase (e^{+i phi} on the 2^(n - ancillas) ancilla-zero
+    rows, which come first, e^{-i phi} on the others); the global phase
+    i^d last. Behind the Hadamard on wire 0 the Phi and -Phi results
+    P and M combine to (1/2)[[P + M, P - M], [P - M, P + M]].
     """
-    u = materialize(be.op)
-    u_dag = u.conj().T
+    u, u_dag = materialize(u), materialize(u_dag)
     refl = np.stack([_reflection_angles(angles), _reflection_angles(-angles)],
                     axis=1)  # (d+1, 2)
     d = refl.shape[0] - 1
     dim = u.shape[0]
-    sign = np.where(np.arange(dim) < 2**be.system_qubits, 1.0, -1.0)
+    sign = np.where(np.arange(dim) < dim >> ancillas, 1.0, -1.0)
     phases = np.exp(1j * refl[:, :, None] * sign)[..., None]  # (d+1, 2, dim, 1)
     arr = phases[d] * np.eye(dim)
     tmp = np.empty_like(arr)
     for k in range(d, 0, -1):
         np.matmul(u if k % 2 == 1 else u_dag, arr, out=tmp)
         np.multiply(phases[k - 1], tmp, out=arr)
-    arr *= (1, 1j, -1, -1j)[d % 4]
-    return Dense(arr[0]), Dense(arr[1])
+    arr *= 0.5 * (1, 1j, -1, -1j)[d % 4]
+    even, odd = arr[0] + arr[1], arr[0] - arr[1]
+    return Dense(np.block([[even, odd], [odd, even]]))
 
 
-def _transform(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
-    """The odd transform (Phi and -Phi averaged); callers check sigma.
+def _transform(be: BlockEncoding, phi: PhaseFactors,
+               dagger: bool = False) -> BlockEncoding:
+    """The odd transform of be (of its adjoint when dagger); callers check sigma.
 
-    The sign circuits are dense leaves (`_dense_sign_pair`) when the
-    input encoding has at most `DENSE_THRESHOLD` qubits, lazy
-    `_qsvt_circuit` trees otherwise; either way they sit under one
-    Hadamard-controlled select.
+    U^dag is formed once, by one `adjoint` of be.op. At or below
+    `DENSE_THRESHOLD` qubits the transform is one dense leaf on n+1
+    qubits (`_dense_transform`), above it the lazy `_qsvt_circuit`. The
+    record's shape is be's; `be_invert` sets its own.
     """
     d = phi.degree
     if d % 2 == 0:
         raise ParityError(f"even degree {d} not supported")
-    if be_a.eps > 1e-12:
+    if be.eps > 1e-12:
         raise ApproximationError(
-            f"transform needs an exact encoding, got eps={be_a.eps:.3g}")
-    n = be_a.op.nqubits
-    if n <= DENSE_THRESHOLD:
-        plus, minus = _dense_sign_pair(be_a, phi.angles)
-    else:
-        plus = _qsvt_circuit(be_a, phi.angles)
-        minus = _qsvt_circuit(be_a, -phi.angles)
-    h = Dense(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    op = Product((
-        Extend(h, n + 1, (0,)),
-        Select(plus, minus),
-        Extend(h, n + 1, (0,)),
-    ))
-    return BlockEncoding(op, 1.0, be_a.ancillas + 1, be_a.system_qubits,
-                         0.0, be_a.shape)
+            f"transform needs an exact encoding, got eps={be.eps:.3g}")
+    u, u_dag = be.op, adjoint(be.op)
+    if dagger:
+        u, u_dag = u_dag, u
+    build = _dense_transform if u.nqubits <= DENSE_THRESHOLD else _qsvt_circuit
+    return BlockEncoding(build(u, u_dag, be.ancillas, phi.angles), 1.0,
+                         be.ancillas + 1, be.system_qubits, 0.0, be.shape)
 
 
 def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
@@ -588,11 +593,12 @@ def be_invert(be_a: BlockEncoding, poly: ChebPoly,
     An odd singular-value transform of W S Vh lands on W p(S) Vh, which for
     p(x) ~ 1/x is the adjoint of the inverse. The phases are therefore run
     on the adjoint encoding, so the output block is Vh^dag p(S) W^dag and
-    the decoded result approximates A^{-1} itself.
+    the decoded result approximates A^{-1} itself. That adjoint is the one
+    `adjoint(be_a.op)` `_transform` forms; be_a.op serves as its U^dag.
 
-    When the encoding has at most `DENSE_THRESHOLD` qubits, the Phi and
-    -Phi circuits come out as two dense leaves, built here by one chain
-    of d matmuls; larger encodings get the lazy trees.
+    When the encoding has at most `DENSE_THRESHOLD` qubits, the inverse
+    comes out as one dense leaf on n+1 qubits, built by one chain of d
+    matmuls; larger encodings get the lazy tree.
     """
     block = decode(be_a) / be_a.alpha
     _, sigma, _ = svd(block)
@@ -600,7 +606,7 @@ def be_invert(be_a: BlockEncoding, poly: ChebPoly,
     for s in sigma:
         if s < lo - 1e-12 or s > 1.0 + 1e-12:
             raise SigmaRangeError(float(s), lo, 1.0)
-    out = _transform(be_adjoint(be_a), phi)
+    out = _transform(be_a, phi, dagger=True)
     alpha_out = poly.scale / be_a.alpha
     return BlockEncoding(out.op, alpha_out, out.ancillas, out.system_qubits,
                          poly.eps_prime * alpha_out, be_a.shape)

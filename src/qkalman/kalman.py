@@ -26,14 +26,13 @@ replaces each decoded column by seeded shots over its n target outcomes
 plus one rest outcome for every other basis state, estimating entries as
 alpha*sqrt(frequency) with the signs of the decoded values.
 
-Each encoding is one dense leaf; stages combine them into lazy trees.
-Only the inverse is compacted, because it is the one sub-circuit that
-repeats: its transform applies the re-encoded innovation leaf and its
-adjoint d times, while every other stage is one product or LCU sum.
-`be_invert` builds its two sign circuits as dense leaves when the
-encoding has at most `DENSE_THRESHOLD` qubits (s <= 3);
-`tensor_ops.compact_operator` then folds what is left of the inverse at
-or below the threshold, at s <= 2 the Hadamard wrapper, into one leaf.
+Each encoding is one dense leaf; stages combine them into lazy trees,
+and nothing in the filter is compacted afterwards. The inverse is the
+one sub-circuit that repeats (its transform applies the re-encoded
+innovation leaf and its adjoint d times), so `be_invert` builds it as
+one dense leaf on 2s+1 qubits when the encoding has at most
+`DENSE_THRESHOLD` qubits (s <= 3) and as a lazy tree above that;
+every other stage is one product or LCU sum.
 
 The innovation dimension must fill its register exactly (m = 2^s):
 zero-padding would make the padded innovation covariance singular and
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +65,7 @@ from .errors import (
 )
 from .inversion import be_invert, inverse_poly, solve_phase_factors
 from .sampling import estimate_entries, pooled_report, with_rest
-from .tensor_ops import compact_operator, op_stats
+from .tensor_ops import op_stats
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -353,7 +352,6 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     poly = inverse_poly(kappa_used, eps_prime, degree_cap)
     phi = solve_phase_factors(poly)
     be54 = be_invert(be53p, poly, phi)
-    be54 = replace(be54, op=compact_operator(be54.op))
     ledger.record("alpha_54", be54, step)
     k_be = be_multiply(m51, be54)
     ledger.record("alpha_K", k_be, step)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .block_encoding import BlockEncoding
 from .errors import ConfigError, DimensionError, MeasurementBudgetError
-from .tensor_ops import apply, basis_state
+from .tensor_ops import ancilla_block
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def exact_amplitudes(be: BlockEncoding, column: int = 0) -> np.ndarray:
     dim = 2**be.system_qubits
     if not 0 <= column < dim:
         raise DimensionError(f"column {column} out of range for {dim} states")
-    state = basis_state(be.op.nqubits, column)  # ancillas lead, so flat index = column
-    return apply(be.op, state)
+    return ancilla_block(be.op, 0, [column])[:, 0]  # ancillas lead: flat index = column
 
 
 def with_rest(targets: np.ndarray) -> np.ndarray:

@@ -6,18 +6,18 @@ Conventions used throughout the package:
   has flat index q0*2^(n-1) + q1*2^(n-2) + ... + q_{n-1}. Ancilla
   registers are always prepended most-significant, so the state
   |0^a>|j> of an (a+s)-qubit register has flat index j.
-* Operators are trees, executed in one of two ways.
-  ``apply`` pushes a full-register statevector through the tree: the
-  reference path for unitarity checks, compaction and exact amplitudes.
-  ``ancilla_block`` reads columns of the <0^a|.|0^a> block only: its
-  state holds the system register plus the ancilla wires that nodes
-  have touched and nodes still to come will touch, so a register of
-  a+s qubits costs about 2^(live wires) amplitudes per column.
+* Operators are trees with one executor, `_walk`. It reads columns of
+  the <0^a|.|0^a> block only: its state holds the system register
+  plus the ancilla wires that nodes have touched and nodes still to
+  come will touch, so a register of a+s qubits costs about
+  2^(live wires) amplitudes per column. ``ancilla_block`` is that walk
+  on basis columns; ``apply`` and ``materialize`` are the walk with no
+  ancillas, where the ancilla-zero block is the whole unitary.
 * Dense leaves have whatever width their builder chose (a
   data-structure encoding is one leaf on 2s qubits).
   ``DENSE_THRESHOLD`` limits what ``compact_operator`` and
   ``materialize`` turn into a dense matrix, and so the encodings whose
-  inverse transform ``inversion`` builds as dense sign circuits.
+  inverse transform ``inversion`` builds as one dense leaf.
 * ``Product((A, B))`` means the matrix product A @ B, i.e. B is applied
   first. ``Select(u0, u1)`` is |0><0| (x) u0 + |1><1| (x) u1 with the
   control on wire 0. ``Extend`` embeds a child operator on an explicit
@@ -27,9 +27,8 @@ Conventions used throughout the package:
   These five are the only nodes: ``adjoint`` returns U^dag as a new
   tree (reversed products, conjugate-transposed leaves, negated phases).
 
-Statevector application is vectorized over a trailing batch axis, which
-is also how dense blocks and small materializations are computed (apply
-the tree to a batch of basis columns).
+The walk is vectorized over a trailing batch axis, which is also how
+small materializations are computed (walk a batch of basis columns).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailureError
 
-DENSE_THRESHOLD = 6  # qubits; compaction keeps larger subtrees lazy
+DENSE_THRESHOLD = 6  # qubits; larger operators stay lazy trees
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +70,6 @@ def svd(m):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
     return w, s, vh
-
-
-def basis_state(nqubits: int, index: int) -> np.ndarray:
-    psi = np.zeros(2**nqubits, dtype=complex)
-    psi[index] = 1.0
-    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -214,72 +207,8 @@ def adjoint(op: QOperator) -> QOperator:
 # application
 # ---------------------------------------------------------------------------
 
-def _apply_batch(op: QOperator, arr: np.ndarray) -> np.ndarray:
-    """Apply op to arr of shape (2**op.nqubits, batch)."""
-    if isinstance(op, Dense):
-        return op.matrix @ arr
-    if isinstance(op, Product):
-        for child in reversed(op.children):
-            arr = _apply_batch(child, arr)
-        return arr
-    if isinstance(op, Select):
-        half = arr.shape[0] // 2
-        out = np.empty_like(arr)
-        out[:half] = _apply_batch(op.u0, arr[:half])
-        out[half:] = _apply_batch(op.u1, arr[half:])
-        return out
-    if isinstance(op, Extend):
-        n, k, batch = op.total, op.child.nqubits, arr.shape[1]
-        if k == 0:
-            scalar = _apply_batch(op.child, np.ones((1, 1), dtype=complex))[0, 0]
-            return arr * scalar
-        tensor = arr.reshape((2,) * n + (batch,))
-        moved = np.moveaxis(tensor, op.wires, range(k))
-        rest_shape = moved.shape[k:]
-        flat = moved.reshape(2**k, -1)
-        flat = _apply_batch(op.child, flat)
-        moved = flat.reshape((2,) * k + rest_shape)
-        tensor = np.moveaxis(moved, range(k), op.wires)
-        return tensor.reshape(2**n, batch)
-    if isinstance(op, ProjectorPhase):
-        n, batch = op.total, arr.shape[1]
-        out = arr * np.exp(-1j * op.phi)
-        tensor = out.reshape((2,) * n + (batch,))
-        idx = [slice(None)] * (n + 1)
-        for w in op.wires:
-            idx[w] = 0
-        tensor[tuple(idx)] *= np.exp(2j * op.phi)
-        return tensor.reshape(2**n, batch)
-    raise TypeError(f"unknown operator node {type(op).__name__}")
-
-
-def apply(op: QOperator, psi: np.ndarray) -> np.ndarray:
-    """Apply a QOperator to a statevector.
-
-    The tree is traversed without materializing any unitary; cost is
-    O(depth * 2^n) per Dense/structural node touched.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2**op.nqubits,):
-        raise DimensionError(
-            f"state has {psi.shape}, operator acts on {2**op.nqubits} amplitudes"
-        )
-    return _apply_batch(op, psi.reshape(-1, 1))[:, 0]
-
-
-def materialize(op: QOperator, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-    """Full dense matrix of op (a copy for a bare leaf); refuses above the threshold."""
-    if op.nqubits > threshold:
-        raise DimensionError(
-            f"refusing to materialize {op.nqubits} qubits (threshold {threshold})"
-        )
-    if isinstance(op, Dense):
-        return op.matrix.copy()
-    return _apply_batch(op, np.eye(2**op.nqubits, dtype=complex))
-
-
 class _AncillaZeroWalk:
-    """One traversal for ancilla_block; holds nothing past the call.
+    """One traversal for `_walk`; holds nothing past the call.
 
     The state is an array of shape (2,)*len(live) + (batch,) whose axes
     carry the global wires in `live`. A wire outside `live` is exactly
@@ -367,11 +296,11 @@ def _apply_on_live(mat, wires, arr, live):
         mat = mat.reshape((2**k,) + (2,) * k)[(slice(None),) + cut]
         mat = mat.reshape(2**k, -1)
     pos = [live.index(w) for w, f in zip(wires, fresh) if not f]
-    moved = np.moveaxis(arr, pos, range(len(pos)))
-    flat = moved.reshape(2 ** len(pos), -1)
-    out = mat @ flat
+    if pos != list(range(len(pos))):  # wires a node just acted on already lead
+        arr = np.moveaxis(arr, pos, range(len(pos)))
+    out = mat @ arr.reshape(2 ** len(pos), -1)
     live = list(wires) + [w for w in live if w not in wires]
-    return out.reshape((2,) * k + moved.shape[len(pos):]), live
+    return out.reshape((2,) * k + arr.shape[len(pos):]), live
 
 
 def _align(arr, live, order):
@@ -384,16 +313,33 @@ def _align(arr, live, order):
     return arr.transpose([live.index(w) for w in order] + [len(order)])
 
 
+def _walk(op: QOperator, ancillas: int, start: np.ndarray) -> np.ndarray:
+    """Rows 0..2**(n - ancillas) - 1 of op applied to |0^a> (x) start.
+
+    start has shape (2**(n - ancillas), batch), one system-register
+    column per batch entry. The tree is walked with a state over live
+    wires only: the system register, plus each ancilla wire from the
+    first node that touches it until after the last one, where it is
+    projected onto |0>. Exact: a projection commutes with every later
+    node, which acts as identity on that wire. With no ancillas every
+    wire is live throughout and the result is op applied to start.
+    """
+    n = op.nqubits
+    s = n - ancillas
+    batch = start.shape[1]
+    system = list(range(ancillas, n))
+    arr, live = _AncillaZeroWalk(ancillas).walk(
+        op, start.reshape((2,) * s + (batch,)), system, tuple(range(n)),
+        frozenset())
+    return _align(arr, live, system).reshape(2**s, batch)
+
+
 def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
     """Columns of the ancilla-zero block: <0^a, i| U |0^a, j> for every i.
 
     Returns an array of shape (2**(n - ancillas), len(cols)), equal to
     rows 0..2**(n - ancillas) - 1 of op applied to the basis columns
-    `cols`. The tree is walked with a state over live wires only: the
-    system register, plus
-    each ancilla wire from the first node that touches it until after
-    the last one, where it is projected onto |0>. Exact: a projection
-    commutes with every later node, which acts as identity on that wire.
+    `cols`, computed by one walk over live wires (`_walk`).
     """
     n = op.nqubits
     s = n - ancillas
@@ -402,26 +348,43 @@ def ancilla_block(op: QOperator, ancillas: int, cols) -> np.ndarray:
     cols = list(cols)
     if cols and (min(cols) < 0 or max(cols) >= 2**s):
         raise DimensionError("column index out of range")
-    arr = np.zeros((2**s, len(cols)), dtype=complex)
-    arr[cols, range(len(cols))] = 1.0
-    system = list(range(ancillas, n))
-    arr, live = _AncillaZeroWalk(ancillas).walk(
-        op, arr.reshape((2,) * s + (len(cols),)), system, tuple(range(n)),
-        frozenset())
-    return _align(arr, live, system).reshape(2**s, len(cols))
+    start = np.zeros((2**s, len(cols)), dtype=complex)
+    start[cols, range(len(cols))] = 1.0
+    return _walk(op, ancillas, start)
+
+
+def apply(op: QOperator, psi: np.ndarray) -> np.ndarray:
+    """Apply a QOperator to a full-register statevector (a walk with no ancillas)."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2**op.nqubits,):
+        raise DimensionError(
+            f"state has {psi.shape}, operator acts on {2**op.nqubits} amplitudes"
+        )
+    return _walk(op, 0, psi.reshape(-1, 1))[:, 0]
+
+
+def materialize(op: QOperator, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
+    """Full dense matrix of op (a copy for a bare leaf); refuses above the threshold."""
+    if op.nqubits > threshold:
+        raise DimensionError(
+            f"refusing to materialize {op.nqubits} qubits (threshold {threshold})"
+        )
+    if isinstance(op, Dense):
+        return op.matrix.copy()
+    return _walk(op, 0, np.eye(2**op.nqubits, dtype=complex))
 
 
 def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperator:
     """Materialize every subtree at or below the threshold into one Dense leaf.
 
-    Semantically a no-op (same unitary). Building a leaf pushes all 2^n
+    Semantically a no-op (same unitary). Building a leaf walks all 2^n
     basis columns through the subtree, so it pays off only for a
     sub-circuit that repeats work, such as the singular value transform,
-    which applies one encoding and its adjoint d times: the leaf then
-    does in one matrix product what a lazy walk would do d times. (The
-    transform's sign circuits already come out dense from `inversion`
-    at or below the threshold, by a cheaper chain than this one.) A
-    subtree without repetition is cheaper to walk lazily.
+    which applies one encoding and its adjoint d times. The filter makes
+    no call to it: `inversion` builds that transform as one dense leaf
+    itself at or below the threshold, by a cheaper chain than this one.
+    It stays a public utility for callers that compact a tree of their
+    own (and the benchmark's tracer counts its calls).
     """
     if op.nqubits <= threshold:
         if isinstance(op, Dense):

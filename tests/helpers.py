@@ -14,7 +14,15 @@ from qkalman.inversion import (
     _odd_series_one_over_x,
     smoothing_order,
 )
-from qkalman.tensor_ops import Dense, Product, QOperator, _apply_batch, adjoint
+from qkalman.tensor_ops import (
+    Dense,
+    Extend,
+    Product,
+    ProjectorPhase,
+    QOperator,
+    Select,
+    adjoint,
+)
 
 
 def philox(seed) -> np.random.Generator:
@@ -176,8 +184,51 @@ def fraction_series_one_over_x(b: int) -> np.ndarray:
                      for j in range(b)])
 
 
+def _apply_batch(op: QOperator, arr: np.ndarray) -> np.ndarray:
+    """Apply op to arr of shape (2**op.nqubits, batch)."""
+    if isinstance(op, Dense):
+        return op.matrix @ arr
+    if isinstance(op, Product):
+        for child in reversed(op.children):
+            arr = _apply_batch(child, arr)
+        return arr
+    if isinstance(op, Select):
+        half = arr.shape[0] // 2
+        out = np.empty_like(arr)
+        out[:half] = _apply_batch(op.u0, arr[:half])
+        out[half:] = _apply_batch(op.u1, arr[half:])
+        return out
+    if isinstance(op, Extend):
+        n, k, batch = op.total, op.child.nqubits, arr.shape[1]
+        if k == 0:
+            scalar = _apply_batch(op.child, np.ones((1, 1), dtype=complex))[0, 0]
+            return arr * scalar
+        tensor = arr.reshape((2,) * n + (batch,))
+        moved = np.moveaxis(tensor, op.wires, range(k))
+        rest_shape = moved.shape[k:]
+        flat = moved.reshape(2**k, -1)
+        flat = _apply_batch(op.child, flat)
+        moved = flat.reshape((2,) * k + rest_shape)
+        tensor = np.moveaxis(moved, range(k), op.wires)
+        return tensor.reshape(2**n, batch)
+    if isinstance(op, ProjectorPhase):
+        n, batch = op.total, arr.shape[1]
+        out = arr * np.exp(-1j * op.phi)
+        tensor = out.reshape((2,) * n + (batch,))
+        idx = [slice(None)] * (n + 1)
+        for w in op.wires:
+            idx[w] = 0
+        tensor[tuple(idx)] *= np.exp(2j * op.phi)
+        return tensor.reshape(2**n, batch)
+    raise TypeError(f"unknown operator node {type(op).__name__}")
+
+
 def materialize_block(op: QOperator, rows, cols) -> np.ndarray:
-    """Entries <row_i| U |col_j>, computed by applying op to basis columns."""
+    """Entries <row_i| U |col_j>, computed by applying op to basis columns.
+
+    The full-register reference for the package's one executor, the
+    ancilla walk: `_apply_batch` dispatches on node types on its own.
+    """
     rows = list(rows)
     cols = list(cols)
     dim = 2**op.nqubits

@@ -7,6 +7,7 @@ import qkalman.inversion as inversion
 from helpers import (
     fraction_series_one_over_x,
     inverse_poly_at_degree,
+    materialize_block,
     philox,
     rand_with_sigma,
     stacked_insertions,
@@ -37,7 +38,7 @@ from qkalman.inversion import (
 from qkalman.tensor_ops import (
     DENSE_THRESHOLD,
     Dense,
-    materialize,
+    adjoint,
     op_stats,
     unitarity_residual,
 )
@@ -438,18 +439,43 @@ ENCODERS = {"data_structure": encode_data_structure,
 @pytest.mark.parametrize("encoding", sorted(ENCODERS))
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_dense_sign_circuits_match_the_lazy_circuits(s, encoding, degree):
-    # at or below the threshold the transform's Phi and -Phi circuits are
-    # dense leaves, and they must be the unitaries of the lazy circuits
+    # at or below the threshold the whole transform (the Hadamard average
+    # of the Phi and -Phi circuits) is one dense leaf, and it must be the
+    # unitary of the lazy H Select H circuit
     rng = philox(1000 * s + degree)
     be = ENCODERS[encoding](rand_with_sigma(rng, rng.uniform(0.1, 0.95, 2**s)))
     assert be.op.nqubits <= DENSE_THRESHOLD
     angles = rng.uniform(-np.pi, np.pi, degree + 1)
-    select = inversion._transform(be, PhaseFactors(angles)).op.children[1]
-    for leaf, sign in ((select.u0, 1.0), (select.u1, -1.0)):
-        assert isinstance(leaf, Dense)
-        want = materialize(inversion._qsvt_circuit(be, sign * angles))
-        np.testing.assert_allclose(materialize(leaf), want, rtol=0, atol=1e-12)
-        assert unitarity_residual(leaf) <= 1e-12
+    leaf = inversion._transform(be, PhaseFactors(angles)).op
+    assert isinstance(leaf, Dense) and leaf.nqubits == be.op.nqubits + 1
+    lazy = inversion._qsvt_circuit(be.op, adjoint(be.op), be.ancillas, angles)
+    idx = range(2**leaf.nqubits)
+    np.testing.assert_allclose(leaf.matrix, materialize_block(lazy, idx, idx),
+                               rtol=0, atol=1e-12)
+    assert unitarity_residual(leaf) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_be_invert_copies_the_encoding_leaf_once(s, monkeypatch):
+    # one adjoint of the 2s-qubit encoding leaf serves as U, the leaf
+    # itself as U^dag; at s = 2 the inverse is one leaf on 2s+1 qubits
+    rng = philox(1100 + s)
+    be = encode_data_structure(rand_with_sigma(rng, rng.uniform(0.5, 1.0, 2**s)))
+    sigma = np.linalg.svd(decode(be) / be.alpha, compute_uv=False)
+    poly = inverse_poly(1.1 / sigma[-1], 0.01)
+    phi = solve_phase_factors(poly)
+    widths = []
+    post_init = Dense.__post_init__
+
+    def spy(self):
+        post_init(self)
+        widths.append(self.nqubits)
+
+    monkeypatch.setattr(Dense, "__post_init__", spy)
+    out = be_invert(be, poly, phi)
+    monkeypatch.undo()
+    assert widths.count(2 * s) == 1
+    assert isinstance(out.op, Dense) == (s == 2)
 
 
 def test_transform_stays_lazy_above_the_dense_threshold():

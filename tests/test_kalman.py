@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import qkalman.block_encoding as block_encoding
+import qkalman.kalman as kalman
+import qkalman.tensor_ops as tensor_ops
 from helpers import model_with_innovation, philox
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import decode
@@ -31,7 +33,7 @@ from qkalman.kalman import (
     q_update_cov,
     q_update_state,
 )
-from qkalman.tensor_ops import ancilla_block
+from qkalman.tensor_ops import Dense, ancilla_block
 
 DEMO_KWARGS = dict(shots=1, iterations=1)
 
@@ -394,6 +396,38 @@ def test_step_reads_each_block_once_through_decode(s, mode, monkeypatch):
     for col in range(n):
         single = ancilla_block(op, ancillas, [col])[:, 0]
         np.testing.assert_allclose(block[:, col], single, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_filter_step_compacts_nothing(s, monkeypatch):
+    # the inverse arrives from be_invert as one dense leaf on 2s+1 qubits,
+    # so no stage of the step calls compact_operator
+    n = 2**s
+    A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
+        philox(80 + s), np.linspace(2.0, 1.0, n), 1)
+    original = tensor_ops.compact_operator
+    compactions = []
+
+    def compact_spy(*args, **kwargs):
+        compactions.append(args[0].nqubits)
+        return original(*args, **kwargs)
+
+    for module in (tensor_ops, kalman):
+        if getattr(module, "compact_operator", None) is original:
+            monkeypatch.setattr(module, "compact_operator", compact_spy)
+    be_invert = kalman.be_invert
+    inverses = []
+
+    def invert_spy(*args):
+        inverses.append(be_invert(*args))
+        return inverses[-1]
+
+    monkeypatch.setattr(kalman, "be_invert", invert_spy)
+    q_filter_run(KalmanModel(A, B, H, Q, R), FilterState(x0, P0), us, zs, 1,
+                 kappa_policy=KappaPolicy.fixed(6.0))
+    assert compactions == []
+    assert len(inverses) == 1
+    assert isinstance(inverses[0].op, Dense) and inverses[0].op.nqubits == 2 * s + 1
 
 
 def test_stage_ancillas_scale_linearly_without_decode():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import materialize_block, philox, rand_orthogonal
+from helpers import _apply_batch, materialize_block, philox, rand_orthogonal
 from qkalman.errors import DimensionError, NumericalFailureError
 from qkalman.tensor_ops import (
     Dense,
@@ -13,7 +13,6 @@ from qkalman.tensor_ops import (
     adjoint,
     ancilla_block,
     apply,
-    basis_state,
     compact_operator,
     identity_op,
     materialize,
@@ -134,14 +133,9 @@ def test_apply_matches_materialize():
         ProjectorPhase(0.4, 3, (0, 1)),
     ))
     vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    np.testing.assert_allclose(apply(op, vec), materialize(op) @ vec,
-                               atol=1e-12)
-
-
-def test_basis_state():
-    vec = basis_state(3, 5)
-    assert vec.shape == (8,)
-    assert vec[5] == 1.0 and np.count_nonzero(vec) == 1
+    want = _apply_batch(op, vec.reshape(-1, 1))[:, 0]
+    np.testing.assert_allclose(apply(op, vec), want, atol=1e-12)
+    np.testing.assert_allclose(materialize(op) @ vec, want, atol=1e-12)
 
 
 def test_materialize_copies_a_dense_leaf():
@@ -245,6 +239,25 @@ def test_ancilla_block_matches_materialize_block(n, depth, seed):
         idx = range(2 ** (n - ancillas))
         np.testing.assert_allclose(ancilla_block(op, ancillas, idx),
                                    materialize_block(op, idx, idx), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 6), depth=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_walk_entry_points_match_the_full_register_reference(n, depth, seed):
+    # apply, materialize and a walk with no ancillas all run through the
+    # one executor; the full-register dispatch in helpers is the reference
+    rng = philox(seed)
+    op = rand_tree(rng, n, depth)
+    dim = 2**n
+    want = _apply_batch(op, np.eye(dim, dtype=complex))
+    np.testing.assert_allclose(materialize(op), want, rtol=0, atol=1e-12)
+    cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
+    np.testing.assert_allclose(ancilla_block(op, 0, cols), want[:, cols],
+                               rtol=0, atol=1e-12)
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    np.testing.assert_allclose(apply(op, vec), want @ vec, rtol=0, atol=1e-12)
 
 
 def test_ancilla_block_select_on_untouched_control_is_u0():
