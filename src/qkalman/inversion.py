@@ -105,6 +105,7 @@ from .tensor_ops import (
     svd,
 )
 
+_GRID_POINTS = 20001  # points of the measuring grid: the peak scan and the 1/x error
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
 _NEWTON_TOL = 1e-12  # node residual at which Newton stops early
 _NEWTON_MAXITER = 50
@@ -215,7 +216,7 @@ def _series_max(odd_coeffs: np.ndarray) -> float:
     The refinement re-scans the bracket around the best grid point with
     65 points, each pass narrowing it 32-fold, until it is 1e-13 wide.
     """
-    xs = np.linspace(-1.0, 1.0, 20001)
+    xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
     peak = 0.0
     while True:
         vals = np.abs(_clenshaw_odd(odd_coeffs, xs))
@@ -227,10 +228,9 @@ def _series_max(odd_coeffs: np.ndarray) -> float:
         xs = np.linspace(lo, hi, 65)
 
 
-def _measured_error(odd_coeffs: np.ndarray, kappa: float,
-                    points: int = 20001) -> float:
-    """sup over [1/kappa, 1] of |series(x) - 1/x| (unscaled)."""
-    xs = np.linspace(1.0 / kappa, 1.0, points)
+def _measured_error(odd_coeffs: np.ndarray, kappa: float) -> float:
+    """sup over the grid on [1/kappa, 1] of |series(x) - 1/x| (unscaled)."""
+    xs = np.linspace(1.0 / kappa, 1.0, _GRID_POINTS)
     return float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs) - 1.0 / xs)))
 
 

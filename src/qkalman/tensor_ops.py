@@ -10,9 +10,12 @@ Conventions used throughout the package:
   the <0^a|.|0^a> block only: its state holds the system register
   plus the ancilla wires that nodes have touched and nodes still to
   come will touch, so a register of a+s qubits costs about
-  2^(live wires) amplitudes per column. ``ancilla_block`` is that walk
-  on basis columns; ``apply`` and ``materialize`` are the walk with no
-  ancillas, where the ancilla-zero block is the whole unitary.
+  2^(live wires) amplitudes per column. Each node carries its
+  ``support`` (the local wires it may act on), computed once when it
+  is built, so the walk is one recursive function that keeps no state
+  past the call. ``ancilla_block`` is that walk on basis columns;
+  ``apply`` and ``materialize`` are the walk with no ancillas, where
+  the ancilla-zero block is the whole unitary.
 * Dense leaves have whatever width their builder chose (a
   data-structure encoding is one leaf on 2s qubits).
   ``DENSE_THRESHOLD`` limits what ``compact_operator`` and
@@ -77,7 +80,13 @@ def svd(m):
 # ---------------------------------------------------------------------------
 
 class QOperator:
-    """Base class; every node knows its qubit count and is unitary."""
+    """Base class; every node knows its qubit count and is unitary.
+
+    Each node sets `support`, the local wires it may act on, once when
+    it is built; nodes are frozen, so it never changes.
+    """
+
+    support: frozenset
 
     @property
     def nqubits(self) -> int:  # pragma: no cover - overridden
@@ -95,6 +104,7 @@ class Dense(QOperator):
             raise DimensionError(f"dense operator must be 2^k square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_nqubits", n)
+        object.__setattr__(self, "support", frozenset(range(n)))
 
     @property
     def nqubits(self):
@@ -115,6 +125,8 @@ class Product(QOperator):
         if any(c.nqubits != n for c in kids):
             raise DimensionError("Product children must share a qubit count")
         object.__setattr__(self, "children", kids)
+        support = frozenset().union(*(c.support for c in kids))
+        object.__setattr__(self, "support", support)
 
     @property
     def nqubits(self):
@@ -131,6 +143,8 @@ class Select(QOperator):
     def __post_init__(self):
         if self.u0.nqubits != self.u1.nqubits:
             raise DimensionError("Select branches must share a qubit count")
+        inner = self.u0.support | self.u1.support
+        object.__setattr__(self, "support", frozenset({0} | {w + 1 for w in inner}))
 
     @property
     def nqubits(self):
@@ -156,6 +170,8 @@ class Extend(QOperator):
             raise DimensionError("Extend wires out of range")
         if self.total < self.child.nqubits:
             raise DimensionError("Extend cannot shrink an operator")
+        support = frozenset(wires[w] for w in self.child.support)
+        object.__setattr__(self, "support", support)
 
     @property
     def nqubits(self):
@@ -177,6 +193,7 @@ class ProjectorPhase(QOperator):
             raise DimensionError("ProjectorPhase wires must be distinct")
         if wires and (min(wires) < 0 or max(wires) >= self.total):
             raise DimensionError("ProjectorPhase wires out of range")
+        object.__setattr__(self, "support", frozenset(wires))
 
     @property
     def nqubits(self):
@@ -207,84 +224,57 @@ def adjoint(op: QOperator) -> QOperator:
 # application
 # ---------------------------------------------------------------------------
 
-class _AncillaZeroWalk:
-    """One traversal for `_walk`; holds nothing past the call.
+def _walk_node(op, arr, live, wmap, future, ancillas):
+    """Apply op to the live state, then project; returns (arr, live).
 
     The state is an array of shape (2,)*len(live) + (batch,) whose axes
     carry the global wires in `live`. A wire outside `live` is exactly
     |0> in every component. Each node maps local wires to global ones
     through `wmap` and learns, through `future`, the global wires that
     nodes applied after it touch; after the node, every live ancilla
-    wire outside `future` is projected onto |0>.
+    wire (below `ancillas`) outside `future` is projected onto |0>.
     """
-
-    def __init__(self, ancillas: int):
-        self.ancillas = ancillas
-        self._support: dict = {}  # id(node) -> local wires; nodes live for the call
-
-    def support(self, op: QOperator) -> frozenset:
-        """Local wires op may act on non-trivially."""
-        hit = self._support.get(id(op))
-        if hit is not None:
-            return hit
-        if isinstance(op, Dense):
-            hit = frozenset(range(op.nqubits))
-        elif isinstance(op, Product):
-            hit = frozenset().union(*(self.support(c) for c in op.children))
-        elif isinstance(op, Select):
-            inner = self.support(op.u0) | self.support(op.u1)
-            hit = frozenset({0}) | frozenset(w + 1 for w in inner)
-        elif isinstance(op, Extend):
-            hit = frozenset(op.wires[w] for w in self.support(op.child))
-        elif isinstance(op, ProjectorPhase):
-            hit = frozenset(op.wires)
+    if isinstance(op, Dense):
+        arr, live = _apply_on_live(op.matrix, wmap, arr, live)
+    elif isinstance(op, Product):
+        kids = op.children[::-1]  # application order
+        after = [future] * len(kids)
+        for i in range(len(kids) - 1, 0, -1):
+            after[i - 1] = after[i] | {wmap[w] for w in kids[i].support}
+        for kid, fut in zip(kids, after):
+            arr, live = _walk_node(kid, arr, live, wmap, fut, ancillas)
+    elif isinstance(op, Select):
+        control, sub = wmap[0], wmap[1:]
+        if control not in live:  # control is |0>: only u0 acts
+            arr, live = _walk_node(op.u0, arr, live, sub, future, ancillas)
         else:
-            raise TypeError(f"unknown operator node {type(op).__name__}")
-        self._support[id(op)] = hit
-        return hit
-
-    def walk(self, op, arr, live, wmap, future):
-        """Apply op to the live state, then project."""
-        if isinstance(op, Dense):
-            arr, live = _apply_on_live(op.matrix, wmap, arr, live)
-        elif isinstance(op, Product):
-            kids = op.children[::-1]  # application order
-            after = [future] * len(kids)
-            for i in range(len(kids) - 1, 0, -1):
-                after[i - 1] = after[i] | {wmap[w] for w in self.support(kids[i])}
-            for kid, fut in zip(kids, after):
-                arr, live = self.walk(kid, arr, live, wmap, fut)
-        elif isinstance(op, Select):
-            control, sub = wmap[0], wmap[1:]
-            if control not in live:  # control is |0>: only u0 acts
-                arr, live = self.walk(op.u0, arr, live, sub, future)
-            else:
-                pos = live.index(control)
-                rest = live[:pos] + live[pos + 1:]
-                branches = [self.walk(u, np.take(arr, bit, axis=pos), rest, sub, future)
-                            for bit, u in ((0, op.u0), (1, op.u1))]
-                order = list(branches[0][1])
-                order += [w for w in branches[1][1] if w not in order]
-                arr = np.stack([_align(a, lv, order) for a, lv in branches])
-                live = [control] + order
-        elif isinstance(op, Extend):
-            arr, live = self.walk(op.child, arr, live,
-                                  tuple(wmap[w] for w in op.wires), future)
-        elif isinstance(op, ProjectorPhase):
-            arr = arr * np.exp(-1j * op.phi)
-            idx = [slice(None)] * arr.ndim
-            for w in op.wires:  # a wire outside live is |0> and always marked
-                if wmap[w] in live:
-                    idx[live.index(wmap[w])] = 0
-            arr[tuple(idx)] *= np.exp(2j * op.phi)
-        else:
-            raise TypeError(f"unknown operator node {type(op).__name__}")
-        done = [w for w in live if w < self.ancillas and w not in future]
-        if done:
-            idx = tuple(0 if w in done else slice(None) for w in live)
-            arr = arr[idx]
-            live = [w for w in live if w not in done]
-        return arr, live
+            pos = live.index(control)
+            rest = live[:pos] + live[pos + 1:]
+            branches = [_walk_node(u, np.take(arr, bit, axis=pos), rest, sub, future,
+                                   ancillas)
+                        for bit, u in ((0, op.u0), (1, op.u1))]
+            order = list(branches[0][1])
+            order += [w for w in branches[1][1] if w not in order]
+            arr = np.stack([_align(a, lv, order) for a, lv in branches])
+            live = [control] + order
+    elif isinstance(op, Extend):
+        arr, live = _walk_node(op.child, arr, live, tuple(wmap[w] for w in op.wires),
+                               future, ancillas)
+    elif isinstance(op, ProjectorPhase):
+        arr = arr * np.exp(-1j * op.phi)
+        idx = [slice(None)] * arr.ndim
+        for w in op.wires:  # a wire outside live is |0> and always marked
+            if wmap[w] in live:
+                idx[live.index(wmap[w])] = 0
+        arr[tuple(idx)] *= np.exp(2j * op.phi)
+    else:
+        raise TypeError(f"unknown operator node {type(op).__name__}")
+    done = [w for w in live if w < ancillas and w not in future]
+    if done:
+        idx = tuple(0 if w in done else slice(None) for w in live)
+        arr = arr[idx]
+        live = [w for w in live if w not in done]
+    return arr, live
 
 
 def _apply_on_live(mat, wires, arr, live):
@@ -321,16 +311,17 @@ def _walk(op: QOperator, ancillas: int, start: np.ndarray) -> np.ndarray:
     wires only: the system register, plus each ancilla wire from the
     first node that touches it until after the last one, where it is
     projected onto |0>. Exact: a projection commutes with every later
-    node, which acts as identity on that wire. With no ancillas every
-    wire is live throughout and the result is op applied to start.
+    node, which acts as identity on that wire. Each node carries its
+    support from when it was built, so the walk keeps no state past the
+    call. With no ancillas every wire is live throughout and the result
+    is op applied to start.
     """
     n = op.nqubits
     s = n - ancillas
     batch = start.shape[1]
     system = list(range(ancillas, n))
-    arr, live = _AncillaZeroWalk(ancillas).walk(
-        op, start.reshape((2,) * s + (batch,)), system, tuple(range(n)),
-        frozenset())
+    arr, live = _walk_node(op, start.reshape((2,) * s + (batch,)), system,
+                           tuple(range(n)), frozenset(), ancillas)
     return _align(arr, live, system).reshape(2**s, batch)
 
 
@@ -405,30 +396,28 @@ def compact_operator(op: QOperator, threshold: int = DENSE_THRESHOLD) -> QOperat
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def unitarity_residual(op: QOperator, nstates: int = 16, seed: int = 0) -> float:
-    """max over random states of || U^dag U psi - psi ||_2."""
-    rng = np.random.Generator(np.random.Philox(seed))
+def unitarity_residual(op: QOperator, nstates: int = 16) -> float:
+    """max over random states of || U^dag U psi - psi ||_2.
+
+    The states are the columns of one batch, walked once through op and
+    once through its adjoint.
+    """
     dim = 2**op.nqubits
-    worst = 0.0
-    adj = adjoint(op)
-    for _ in range(nstates):
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        back = apply(adj, apply(op, psi))
-        worst = max(worst, float(np.linalg.norm(back - psi)))
-    return worst
+    z = np.random.Generator(np.random.Philox(0)).normal(size=(nstates, 2, dim))
+    psi = (z[:, 0] + 1j * z[:, 1]).T  # column k: state k's real, then imaginary draws
+    psi /= np.linalg.norm(psi, axis=0)
+    back = _walk(adjoint(op), 0, _walk(op, 0, psi))
+    return float(np.max(np.linalg.norm(back - psi, axis=0), initial=0.0))
 
 
 def op_stats(op: QOperator) -> dict:
     """Operation counts used by the per-run report: depth and node tallies."""
-    counts = {"dense": 0, "product": 0, "select": 0, "extend": 0,
-              "projector_phase": 0}
+    kinds = {Dense: "dense", Product: "product", Select: "select",
+             Extend: "extend", ProjectorPhase: "projector_phase"}
+    counts = dict.fromkeys(kinds.values(), 0)
 
     def walk(node):
-        kind = type(node).__name__.lower()
-        key = {"dense": "dense", "product": "product", "select": "select",
-               "extend": "extend", "projectorphase": "projector_phase"}[kind]
-        counts[key] += 1
+        counts[kinds[type(node)]] += 1
         if isinstance(node, Product):
             return 1 + max(walk(c) for c in node.children)
         if isinstance(node, Select):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import _apply_batch, materialize_block, philox, rand_orthogonal
+from qkalman import tensor_ops
 from qkalman.errors import DimensionError, NumericalFailureError
 from qkalman.tensor_ops import (
     Dense,
@@ -188,6 +189,46 @@ def test_unitarity_residual_flags_non_unitaries():
     assert unitarity_residual(bad) > 1e-2
 
 
+def _residual_per_state(op, nstates):
+    # one walk per state and direction, drawing from the same Philox stream
+    rng = philox(0)
+    dim = 2**op.nqubits
+    adj = adjoint(op)
+    worst = 0.0
+    for _ in range(nstates):
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        worst = max(worst, float(np.linalg.norm(apply(adj, apply(op, psi)) - psi)))
+    return worst
+
+
+@pytest.mark.parametrize("nstates", [1, 4, 16])
+def test_unitarity_residual_walks_once_per_direction(monkeypatch, nstates):
+    calls = []
+    walk = tensor_ops._walk
+
+    def spy(op, ancillas, start):
+        calls.append(start.shape)
+        return walk(op, ancillas, start)
+
+    monkeypatch.setattr(tensor_ops, "_walk", spy)
+    op = rand_tree(philox(13), 4, 3)
+    assert unitarity_residual(op, nstates=nstates) < 1e-12
+    assert calls == [(16, nstates)] * 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(0, 6), depth=st.integers(0, 4), nstates=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_unitarity_residual_matches_a_per_state_loop(n, depth, nstates, seed):
+    rng = philox(seed)
+    op = rand_tree(rng, n, depth)
+    bad = Product((op, Dense(np.diag(rng.uniform(0.5, 1.0, 2**n)))))
+    for tree in (op, bad):
+        assert abs(unitarity_residual(tree, nstates=nstates)
+                   - _residual_per_state(tree, nstates)) <= 1e-15
+
+
 def test_op_stats_counts_nodes():
     op = Product((identity_op(2), adjoint(identity_op(2))))
     stats = op_stats(op)
@@ -258,6 +299,22 @@ def test_walk_entry_points_match_the_full_register_reference(n, depth, seed):
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
     np.testing.assert_allclose(apply(op, vec), want @ vec, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 6), depth=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_node_acts_as_identity_outside_its_support(n, depth, seed):
+    op = rand_tree(philox(seed), n, depth)
+    assert adjoint(op).support == op.support
+    assert op.support <= set(range(n))
+    m = materialize(op).reshape((2,) * (2 * n))
+    for w in set(range(n)) - op.support:  # output axis w, input axis n + w
+        block = [[np.take(np.take(m, i, axis=n + w), o, axis=w) for i in (0, 1)]
+                 for o in (0, 1)]
+        np.testing.assert_array_equal(block[0][1], 0)
+        np.testing.assert_array_equal(block[1][0], 0)
+        np.testing.assert_allclose(block[0][0], block[1][1], rtol=0, atol=1e-12)
 
 
 def test_ancilla_block_select_on_untouched_control_is_u0():
