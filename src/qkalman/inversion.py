@@ -22,6 +22,7 @@ is exactly odd in floating point. The reported `scale` is
 the max of the truncated series over [-1, 1] (refined locally) divided
 by (1 - 1e-8), so the normalized polynomial obeys |p| <= 1 with a strict
 margin; scale plays the role of the kappa*beta factor relating p to 1/x.
+The |x| where that max is taken is kept as `peak_at` for the phase solver.
 
 Phases
 ------
@@ -34,10 +35,18 @@ Symmetric phases (psi_k = psi_{d-k}) leave (d+1)/2 free angles. Matching
 the response's real part at the (d+1)/2 positive Chebyshev nodes of
 order d+1 is then a square nonlinear system (the order-d node set would
 be rank-deficient by one: x = 0 is satisfied identically by any odd-d
-response). It is solved by plain Newton steps from psi_0 = pi/4, all
+response). It is solved by Newton steps from psi_0 = pi/4, all
 other free angles 0, the start Dong, Lin, Ni and Wang (arXiv:2307.12468)
-show to be robust across parameter regimes; for the 1/x polynomials
-here it takes 16 steps from degree 23 to 415. Each step evaluates the
+show to be robust across parameter regimes. The normalized 1/x
+polynomial peaks at 1 - 1e-8, where Re u00 <= 1 folds, so the root is
+nearly singular and plain Newton converges only linearly (16 steps
+from degree 23 to 415). Two changes make that root regular: the
+positive node nearest the peak is moved onto the peak's |x|
+(`ChebPoly.peak_at`), and once the node residual is below 5e-3 each
+step solves jac @ step = sqrt(1 - R^2) (arccos p - arccos R), Newton on
+arccos(Re u00) = arccos(p), whose Jacobian is jac with scaled rows.
+arccos is one-to-one on [-1, 1], so the roots are the same; a cold
+solve then takes 8 or 9 steps. Each step evaluates the
 residual and Jacobian in a half-length pass over SU(2) pairs (a, b)
 standing for [[a, b], [-b*, a*]], with E_k = exp(i psi_k Z). Only the
 prefixes P_k = E_0 W ... E_{k-1} W for k < h = (d+1)/2 are built: since
@@ -109,6 +118,7 @@ _GRID_POINTS = 20001  # points of the measuring grid: the peak scan and the 1/x 
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
 _NEWTON_TOL = 1e-12  # node residual at which Newton stops early
 _NEWTON_MAXITER = 50
+_ARCCOS_BELOW = 5e-3  # node residual below which Newton works on arccos(Re u00)
 _CACHE_SIZE = 32  # entries kept by the one cache, polynomials and phases together
 
 _cache: OrderedDict = OrderedDict()  # least recently used first
@@ -141,7 +151,10 @@ class ChebPoly:
     """Odd Chebyshev approximant of (1/scale)*(1/x) on [1/kappa, 1].
 
     odd_coeffs[j] multiplies T_{2j+1}; eps_prime is the ACHIEVED sup of
-    |p(x) - (1/scale)(1/x)| over the measuring grid.
+    |p(x) - (1/scale)(1/x)| over the measuring grid. peak_at, when set,
+    is the |x| where |p| peaks (as `_series_max` refines it); the phase
+    solver puts one node there, and locates the peak itself when it is
+    None.
     """
 
     odd_coeffs: np.ndarray
@@ -149,6 +162,7 @@ class ChebPoly:
     kappa: float
     scale: float
     eps_prime: float
+    peak_at: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "odd_coeffs",
@@ -210,21 +224,25 @@ def _odd_series_one_over_x(b: int, count: int | None = None) -> np.ndarray:
     return coeffs
 
 
-def _series_max(odd_coeffs: np.ndarray) -> float:
-    """max |series| over [-1, 1], grid scan plus a local refinement.
+def _series_max(odd_coeffs: np.ndarray,
+                xs: np.ndarray | None = None) -> tuple[float, float]:
+    """(max |series| over [-1, 1], the |x| where it is taken).
 
-    The refinement re-scans the bracket around the best grid point with
-    65 points, each pass narrowing it 32-fold, until it is 1e-13 wide.
+    A scan of xs (the measuring grid when None), then a local
+    refinement: the bracket around the best point is re-scanned with 65
+    points, each pass narrowing it 32-fold, until it is 1e-13 wide.
     """
-    xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    peak = 0.0
+    if xs is None:
+        xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    peak = where = 0.0
     while True:
         vals = np.abs(_clenshaw_odd(odd_coeffs, xs))
         i = int(np.argmax(vals))
-        peak = max(peak, float(vals[i]))
+        if vals[i] > peak:
+            peak, where = float(vals[i]), abs(float(xs[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
         if hi - lo <= 1e-13:
-            return peak
+            return peak, where
         xs = np.linspace(lo, hi, 65)
 
 
@@ -241,8 +259,10 @@ def smoothing_order(kappa: float, eps_prime: float) -> int:
 
 def _normalized(odd: np.ndarray, kappa: float, err: float) -> ChebPoly:
     """The series over its peak (with the margin), err its unscaled error."""
-    scale = _series_max(odd) / (1.0 - _MARGIN)
-    return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale)
+    peak, where = _series_max(odd)
+    scale = peak / (1.0 - _MARGIN)
+    return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale,
+                    where)
 
 
 def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebPoly:
@@ -296,8 +316,8 @@ class PhaseFactors:
     """W_x phases psi_0..psi_d of the signal-processing circuit.
 
     residual records the max verification residual at the order-d nodes
-    and iterations the Newton steps taken, when the phases came from
-    solve_phase_factors.
+    and iterations the Newton steps taken (8 or 9 for `inverse_poly`
+    targets), when the phases came from solve_phase_factors.
     """
 
     angles: np.ndarray
@@ -327,11 +347,17 @@ def _response_batch(angles: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     iroot = 1j * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
     rot = np.exp(1j * angles)
-    a = np.full(x.shape, rot[0])
-    b = np.zeros(x.shape, dtype=complex)
-    for e in rot[1:]:
-        a, b = (a * x + b * iroot) * e, (a * iroot + b * x) * e.conjugate()
-    return a
+    pairs = np.stack([rot, rot.conjugate()], axis=1).reshape(
+        (rot.size, 2) + (1,) * x.ndim)  # row k: (e^{i psi_k}, e^{-i psi_k})
+    ab = np.zeros((2,) + x.shape, dtype=complex)  # row 0 as (a, b), in place
+    ab[0] = rot[0]
+    tmp = np.empty_like(ab)
+    for e in pairs[1:]:
+        np.multiply(iroot, ab[::-1], out=tmp)
+        ab *= x
+        ab += tmp
+        ab *= e
+    return ab[0]
 
 
 def qsp_response(phi: PhaseFactors, x):
@@ -409,8 +435,12 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
     """Symmetric W_x phases whose response real part matches poly.
 
     Newton's method on the square system of (d+1)/2 free angles against
-    the (d+1)/2 positive Chebyshev nodes, started from psi_0 = pi/4 with
-    the other free angles 0. Raises SolverError if a Newton step is
+    the (d+1)/2 positive Chebyshev nodes, the one nearest the peak
+    moved onto poly.peak_at (located from a 4001-point grid and refined
+    when None), started from psi_0 = pi/4 with the other free angles 0.
+    Below a node residual of 5e-3 each step is Newton's on
+    arccos(Re u00) = arccos(p), which is regular at the peak node where
+    plain Newton converges linearly. Raises SolverError if a Newton step is
     singular or non-finite, or if the node residual is still above 1e-8
     after the iteration budget. The result is verified at the order-d
     Chebyshev nodes to 1e-6 before returning; SolverError (with the
@@ -425,6 +455,9 @@ def _solve(poly: ChebPoly) -> PhaseFactors:
     d = poly.degree  # odd, as ChebPoly enforces
     grid = np.linspace(-1.0, 1.0, 4001)
     peak = float(np.max(np.abs(eval_cheb(poly, grid))))
+    peak_at = poly.peak_at
+    if peak_at is None:
+        _, peak_at = _series_max(poly.odd_coeffs, grid)
     coeffs = poly.odd_coeffs
     if peak > 1.0 - _MARGIN / 2:
         # rescale below the solvability bound; the response then matches
@@ -436,7 +469,10 @@ def _solve(poly: ChebPoly) -> PhaseFactors:
 
     half = (d + 1) // 2
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    if peak_at > 0.0:  # never at 0, where every odd response vanishes
+        nodes[int(np.argmin(np.abs(nodes - peak_at)))] = peak_at
     target = np.asarray(eval_cheb(poly, nodes), dtype=float)
+    target_angle = np.arccos(np.clip(target, -1.0, 1.0))
 
     free = np.zeros(half)
     free[0] = np.pi / 4
@@ -445,6 +481,12 @@ def _solve(poly: ChebPoly) -> PhaseFactors:
         res = float(np.max(np.abs(r)))
         if res <= _NEWTON_TOL or iterations == _NEWTON_MAXITER:
             break
+        if res < _ARCCOS_BELOW:
+            # the step on arccos(Re u00) = arccos(p): jac's rows scaled by
+            # -1/sqrt(1 - R^2), which makes the fold R <= 1 at the peak
+            # node a regular root
+            resp = np.clip(r + target, -1.0, 1.0)
+            r = np.sqrt(1.0 - resp**2) * (target_angle - np.arccos(resp))
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:

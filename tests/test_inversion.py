@@ -114,7 +114,11 @@ def test_series_max_matches_a_dense_scan(kappa, eps):
     i = int(np.argmax(np.abs(np.polynomial.chebyshev.chebval(xs, full))))
     xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 200001)
     want = np.max(np.abs(np.polynomial.chebyshev.chebval(xs, full)))
-    assert inversion._series_max(odd) == pytest.approx(want, rel=1e-12)
+    peak, where = inversion._series_max(odd)
+    assert peak == pytest.approx(want, rel=1e-12)
+    # the returned location is where that peak is taken
+    assert where > 0
+    assert abs(float(inversion._clenshaw_odd(odd, np.array([where]))[0])) == peak
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 17, 231, 1485])
@@ -221,7 +225,8 @@ def test_solver_rescales_oversized_targets():
     + [(14.3, 1e-2)])
 def test_solver_inverse_poly_sweep(kappa, eps):
     # degrees 23..185, plus 283 (kappa 14.3), the top of the margin
-    # policy's range: exact Newton from the standard start takes 16 steps
+    # policy's range: exact Newton from the standard start, finishing on
+    # the arccos residual with one node at the peak, takes 8 or 9 steps
     # on each of these (the kernel computes the insertion at k once and
     # doubles it for its mirror d - k, which is exact for palindromic
     # phases), and the response matches p on a dense grid
@@ -233,6 +238,88 @@ def test_solver_inverse_poly_sweep(kappa, eps):
     xs = np.linspace(-1, 1, 2001)
     np.testing.assert_allclose(qsp_response(phi, xs).real,
                                np.asarray(eval_cheb(poly, xs)), atol=1e-8)
+
+
+def plain_newton_angles(poly):
+    """Reference phases: plain Newton on Re u00 = p at the Chebyshev nodes.
+
+    Same square system, start (psi_0 = pi/4, rest 0) and tolerance as the
+    solver, but every step solves jac @ step = R - p and no node moves.
+    """
+    half = (poly.degree + 1) // 2
+    nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
+    target = np.asarray(eval_cheb(poly, nodes))
+    free = np.zeros(half)
+    free[0] = np.pi / 4
+    for _ in range(inversion._NEWTON_MAXITER):
+        r, jac = inversion._residual_and_jac(free, nodes, target)
+        if np.max(np.abs(r)) <= inversion._NEWTON_TOL:
+            break
+        free = free - np.linalg.solve(jac, r)
+    assert np.max(np.abs(r)) <= 1e-8
+    return np.concatenate([free, free[::-1]])
+
+
+SAME_ROOT_POINTS = [(k, e) for k in (1.2, 2.0, 3.5, 8.25, 14.3, 20.0)
+                    for e in (1e-1, 1e-2, 1e-3, 1e-4)
+                    if not (k == 20.0 and e <= 1e-3)]  # past the degree cap
+
+
+@pytest.mark.parametrize("kappa,eps", SAME_ROOT_POINTS)
+def test_solver_lands_on_the_plain_newton_root(kappa, eps):
+    # the arccos finish with a node at the peak reaches the root plain
+    # Newton reaches, in at most 10 steps, and the inverse it encodes is
+    # the same block
+    poly = inverse_poly(kappa, eps)
+    phi = solve_phase_factors(poly)
+    want = plain_newton_angles(poly)
+    assert phi.iterations <= 10
+    np.testing.assert_allclose(phi.angles, want, rtol=0, atol=1e-8)
+    be = encode_svd_dilation(rand_with_sigma(philox(1900), [0.95, 0.87]))
+    got = decode(be_invert(be, poly, phi))
+    ref = decode(be_invert(be, poly, PhaseFactors(want)))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solver_solves_random_odd_polynomials():
+    # odd polynomials of degree 1..117 scaled to peaks from 0.3 up to
+    # 1 - 1e-8, half of them built with their peak's location
+    rng = philox(1901)
+    for trial in range(120):
+        degree = 2 * int(rng.integers(0, 59)) + 1
+        odd = rng.standard_normal((degree + 1) // 2)
+        top = 1.0 - 10.0 ** rng.uniform(-8.0, np.log10(0.7))
+        peak, where = inversion._series_max(odd)
+        poly = ChebPoly(odd * (top / peak), degree, 2.0, 1.0, 0.0,
+                        where if trial % 2 else None)
+        phi = solve_phase_factors(poly)
+        assert phi.residual <= 1e-8, (trial, degree, top)
+        assert phi.iterations <= 16, (trial, degree, top)
+
+
+def test_solver_locates_a_missing_peak():
+    # without peak_at the solver refines the peak from its guard grid and
+    # lands on the same angles as with the location inverse_poly records
+    poly = inverse_poly(8.25, 1e-2)
+    # the top is flat to rounding over about 1e-9, so the refinement of the
+    # normalized series stops at a neighbouring point of it
+    assert poly.peak_at == pytest.approx(
+        inversion._series_max(poly.odd_coeffs)[1], abs=1e-8)
+    with_peak = solve_phase_factors(poly)
+    clear_cache()  # the cache key ignores peak_at
+    without = solve_phase_factors(replace(poly, peak_at=None))
+    assert without is not with_peak
+    np.testing.assert_allclose(without.angles, with_peak.angles, rtol=0, atol=1e-10)
+
+
+def test_zero_polynomial_solves_in_zero_steps():
+    # a zero series "peaks" at 0, where no node may go (every odd
+    # response vanishes there); the start already has node residual 0
+    odd = np.zeros(5)
+    assert inversion._series_max(odd) == (0.0, 0.0)
+    phi = solve_phase_factors(ChebPoly(odd, 9, 2.0, 1.0, 0.0))
+    assert phi.iterations == 0
+    assert phi.residual <= 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 3, 9, 57, 105, 283, 415])

@@ -56,6 +56,7 @@ def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
     for r in rows:
         if "error" not in r:
             assert r["iterations"] <= 20
+            assert r["iterations"] <= 10  # the arccos finish at the peak node
             assert r["residual"] <= 1e-6
             assert 0 <= r["kernel_ms"] + r["solve_ms"] <= r["total_ms"]
 
