@@ -64,8 +64,10 @@ from .kalman import (  # noqa: F401
     q_gain,
     q_predict_cov,
     q_predict_state,
+    q_step,
     q_update_cov,
     q_update_state,
+    read_out,
 )
 from .sampling import (  # noqa: F401
     SampleReport,

@@ -19,12 +19,10 @@ residual and iterations) rides along per step.
 
 The filter loop measures at each step boundary and re-encodes the
 estimates freshly, so ancillas do not accumulate across steps. A step
-reads four blocks, each once and through `decode` (ancilla-zero columns
-only, no full-register statevector): the innovation, its fresh encoding
-(in `be_invert`'s window check), x_hat and P. Sampled readout then
-replaces each decoded column by seeded shots over its n target outcomes
-plus one rest outcome for every other basis state, estimating entries as
-alpha*sqrt(frequency) with the signs of the decoded values.
+reads three blocks through `read_out` (the innovation, x_hat and P) and
+`be_invert`'s window check decodes a fourth (the fresh encoding), each
+once and through `decode` (ancilla-zero columns only, no full-register
+statevector).
 
 Each encoding is one dense leaf; stages combine them into lazy trees,
 and nothing in the filter is compacted afterwards. The inverse is the
@@ -223,17 +221,18 @@ class NormLedger:
 # classical oracle
 # ---------------------------------------------------------------------------
 
+def _vector(values, size: int, what: str) -> np.ndarray:
+    vec = np.atleast_1d(np.asarray(values, dtype=float))
+    if vec.size != size:
+        raise DimensionError(f"{what} has {vec.size} entries, expected {size}")
+    return vec
+
+
 def classical_intermediates(model: KalmanModel, state: FilterState,
                             u, z) -> dict:
     """One exact filter step with every intermediate exposed for checking."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if u.size != model.control_dim:
-        raise DimensionError(
-            f"control has {u.size} entries, model expects {model.control_dim}")
-    if z.size != model.obs_dim:
-        raise DimensionError(
-            f"measurement has {z.size} entries, model expects {model.obs_dim}")
+    u = _vector(u, model.control_dim, "control")
+    z = _vector(z, model.obs_dim, "measurement")
     if state.x_hat.size != model.state_dim:
         raise DimensionError("state dimension does not match the model")
 
@@ -285,12 +284,41 @@ def encode_vector(vec, s: int) -> BlockEncoding:
     return encode_matrix(vec.reshape(-1, 1), s)
 
 
-def _real_block(block: np.ndarray, context: str) -> np.ndarray:
+def read_out(be: BlockEncoding, context: str, sampling=None):
+    """(values, metadata): the decoded block, checked to be real.
+
+    `sampling` = (shots, iterations, entropies) replaces column j by its
+    shot estimate alpha*sqrt(frequency) over n targets plus one rest
+    outcome, seeded by entropies[j] and signed by the decoded values,
+    with one metadata dict per column; otherwise the metadata is None.
+    """
+    block = decode(be)
     peak = float(np.max(np.abs(block.imag))) if block.size else 0.0
     if peak > 1e-8:
         raise NumericalFailureError(
             f"{context}: imaginary residue {peak:.3g} on a real-input pipeline")
-    return np.ascontiguousarray(block.real)
+    values = np.ascontiguousarray(block.real)
+    if sampling is None:
+        return values, None
+    shots, iterations, entropies = sampling
+    rows = values.shape[0]
+    meta = []
+    for column, (signs, entropy) in enumerate(zip(values.T, entropies, strict=True)):
+        report = pooled_report(with_rest(signs / be.alpha), shots, iterations, entropy)
+        values[:, column], std_errors = estimate_entries(
+            report, be.alpha, range(rows), signs=signs)
+        meta.append({
+            "column": column,
+            "shots": shots,
+            "iterations": iterations,
+            "entropy": tuple(entropy),
+            "std_error": std_errors.tolist(),
+            "zero_count": (report.counts[:rows] == 0).tolist(),
+            "counts_nonzero": {
+                ("rest" if i == rows else int(i)): int(report.counts[i])
+                for i in np.flatnonzero(report.counts)},
+        })
+    return values, meta
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +365,7 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     m53 = be_add(m52, be_r)
     ledger.record("alpha_53", m53, step)
 
-    a_temp = _real_block(decode(m53), "innovation readout")
+    a_temp, _ = read_out(m53, "innovation readout")
     sig = np.linalg.svd(a_temp, compute_uv=False)
     if sig[-1] <= sig[0] * 1e-12:
         raise SingularityError("measured innovation covariance is singular")
@@ -401,30 +429,28 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
 # the filter loop
 # ---------------------------------------------------------------------------
 
-def _sampled_column(values: np.ndarray, alpha: float, column: int, shots: int,
-                    iterations: int, entropy) -> tuple[np.ndarray, dict]:
-    """Shot-noise estimate of one decoded column, signs from its values.
+def q_step(ledger: NormLedger, model_be, be_x: BlockEncoding,
+           be_p: BlockEncoding, be_u: BlockEncoding, be_z: BlockEncoding,
+           kappa_policy: KappaPolicy, eps_prime: float, degree_cap: int = 501,
+           step: int = 0) -> tuple[BlockEncoding, BlockEncoding]:
+    """One filter step on encodings: the five stages, nothing read out.
 
-    `values` / alpha are the column's target amplitudes; shots land on
-    those outcomes or on one rest outcome that stands for every other
-    basis state of the register.
+    `model_be` maps "A", "B", "H", "Q" and "R" to the model's encodings.
+    Returns the x_hat and P encodings; op_info gets their operator counts.
     """
-    rows = values.size
-    report = pooled_report(with_rest(values / alpha), shots, iterations, entropy)
-    estimates, std_errors = estimate_entries(report, alpha, range(rows),
-                                             signs=values)
-    meta = {
-        "column": column,
-        "shots": shots,
-        "iterations": iterations,
-        "entropy": tuple(entropy),
-        "std_error": std_errors.tolist(),
-        "zero_count": (report.counts[:rows] == 0).tolist(),
-        "counts_nonzero": {
-            ("rest" if i == rows else int(i)): int(report.counts[i])
-            for i in np.flatnonzero(report.counts)},
+    be_a, be_h = model_be["A"], model_be["H"]
+    x_minus = q_predict_state(ledger, be_a, be_x, model_be["B"], be_u, step=step)
+    p_minus = q_predict_cov(ledger, be_a, be_p, model_be["Q"], step=step)
+    k_be = q_gain(ledger, p_minus, be_h, model_be["R"], kappa_policy, eps_prime,
+                  degree_cap=degree_cap, step=step)
+    x_hat_be = q_update_state(ledger, x_minus, k_be, be_h, be_z, step=step)
+    p_hat_be = q_update_cov(ledger, p_minus, k_be, be_h, step=step)
+    ledger.op_info[step] = {
+        "gain": op_stats(k_be.op),
+        "x_hat": op_stats(x_hat_be.op),
+        "P": op_stats(p_hat_be.op),
     }
-    return estimates, meta
+    return x_hat_be, p_hat_be
 
 
 def q_filter_run(model: KalmanModel, init: FilterState, controls,
@@ -435,22 +461,21 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
     """Run the block-encoded filter for `steps` iterations.
 
     Returns (trajectory, ledger); trajectory[0] is the initial state.
-    Both readout modes decode x_hat and P; "sampled" then replaces each
-    decoded column by its seeded shot estimate. Its seed must be a
-    nonnegative integer, checked before any step runs. A sampled step
-    whose state estimate draws no counts at all aborts with the partial
-    trajectory attached.
+    Each step encodes, runs `q_step` and reads x_hat and P through `read_out`.
+    A "sampled" run's seed must be a nonnegative integer, checked before
+    any step runs; a sampled step whose state estimate draws no counts
+    at all aborts with the partial trajectory attached.
     """
     if readout_mode not in ("exact", "sampled"):
         raise ConfigError(f"readout_mode must be exact or sampled, "
                           f"got {readout_mode!r}")
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
-    if readout_mode == "sampled" and not (
-            isinstance(seed, numbers.Integral) and seed >= 0):
+    sampled = readout_mode == "sampled"
+    if sampled and (isinstance(seed, bool) or not (
+            isinstance(seed, numbers.Integral) and seed >= 0)):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if kappa_policy is None:
-        kappa_policy = KappaPolicy.margin(1.1)
+    kappa_policy = kappa_policy or KappaPolicy.margin(1.1)
     n, c, m = model.state_dim, model.control_dim, model.obs_dim
     if init.x_hat.size != n:
         raise DimensionError("initial state dimension does not match the model")
@@ -464,59 +489,32 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             f"need at least {steps} controls and measurements, "
             f"got {len(controls)} and {len(measurements)}")
 
-    be_a = encode_matrix(model.A, s)
-    be_b = encode_matrix(model.B, s)
-    be_h = encode_matrix(model.H, s)
-    be_q = encode_matrix(model.Q, s)
-    be_r = encode_matrix(model.R, s)
-
+    model_be = {k: encode_matrix(getattr(model, k), s) for k in "ABHQR"}
     ledger = NormLedger()
     trajectory = [init]
     state = init
     for j in range(steps):
         step = state.k + 1
-        u = np.atleast_1d(np.asarray(controls[j], dtype=float))
-        z = np.atleast_1d(np.asarray(measurements[j], dtype=float))
-        if u.size != c:
-            raise DimensionError(f"controls[{j}] has {u.size} entries, expected {c}")
-        if z.size != m:
-            raise DimensionError(
-                f"measurements[{j}] has {z.size} entries, expected {m}")
+        u = _vector(controls[j], c, f"controls[{j}]")
+        z = _vector(measurements[j], m, f"measurements[{j}]")
 
-        be_x = encode_vector(state.x_hat, s)
-        be_p = encode_matrix(state.P, s)
-        be_u = encode_vector(u, s)
-        be_z = encode_vector(z, s)
+        x_hat_be, p_hat_be = q_step(
+            ledger, model_be, encode_vector(state.x_hat, s),
+            encode_matrix(state.P, s), encode_vector(u, s), encode_vector(z, s),
+            kappa_policy, eps_prime, degree_cap, step)
+        x_new, x_meta = read_out(x_hat_be, "state readout", (
+            shots, iterations, [(seed, step, 0)]) if sampled else None)
+        if sampled and all(x_meta[0]["zero_count"]):
+            raise MeasurementBudgetError(
+                f"step {step}: no counts landed on any state entry "
+                f"in {shots}x{iterations} shots",
+                partial=(trajectory, ledger))
+        p_new, p_meta = read_out(p_hat_be, "covariance readout", (
+            shots, iterations, [(seed, step, 1 + col) for col in range(n)])
+            if sampled else None)
+        if sampled:
+            ledger.sampling_info[step] = {"x_hat": x_meta[0], "P": p_meta}
 
-        x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u, step=step)
-        p_minus = q_predict_cov(ledger, be_a, be_p, be_q, step=step)
-        k_be = q_gain(ledger, p_minus, be_h, be_r, kappa_policy, eps_prime,
-                      degree_cap=degree_cap, step=step)
-        x_hat_be = q_update_state(ledger, x_minus, k_be, be_h, be_z, step=step)
-        p_hat_be = q_update_cov(ledger, p_minus, k_be, be_h, step=step)
-        ledger.op_info[step] = {
-            "gain": op_stats(k_be.op),
-            "x_hat": op_stats(x_hat_be.op),
-            "P": op_stats(p_hat_be.op),
-        }
-
-        x_new = _real_block(decode(x_hat_be), "state readout")[:, 0]
-        p_new = _real_block(decode(p_hat_be), "covariance readout")
-        if readout_mode == "sampled":
-            x_new, x_meta = _sampled_column(
-                x_new, x_hat_be.alpha, 0, shots, iterations, (seed, step, 0))
-            if all(x_meta["zero_count"]):
-                raise MeasurementBudgetError(
-                    f"step {step}: no counts landed on any state entry "
-                    f"in {shots}x{iterations} shots",
-                    partial=(trajectory, ledger))
-            cols, col_meta = zip(*(
-                _sampled_column(p_new[:, col], p_hat_be.alpha, col, shots,
-                                iterations, (seed, step, 1 + col))
-                for col in range(n)))
-            p_new = np.column_stack(cols)
-            ledger.sampling_info[step] = {"x_hat": x_meta, "P": list(col_meta)}
-
-        state = FilterState(x_new, p_new, step)
+        state = FilterState(x_new[:, 0], p_new, step)
         trajectory.append(state)
     return trajectory, ledger

@@ -33,11 +33,9 @@ from qkalman.kalman import (
     classical_intermediates,
     encode_matrix,
     encode_vector,
-    q_gain,
     q_predict_cov,
     q_predict_state,
-    q_update_cov,
-    q_update_state,
+    q_step,
 )
 from qkalman.sampling import estimate_entries, exact_amplitudes, pooled_report
 from qkalman.tensor_ops import op_stats, unitarity_residual
@@ -222,21 +220,13 @@ def test_criterion_7_property_suites_and_op_report(worked):
     rng2 = philox(72)
     model = KalmanModel(rng2.uniform(-0.25, 0.25, (4, 4)), np.ones((4, 1)),
                         np.eye(4), np.eye(4), np.eye(4))
-    ledger = NormLedger()
-    be_a = encode_matrix(model.A, s2)
-    be_b = encode_matrix(model.B, s2)
-    be_h = encode_matrix(model.H, s2)
-    be_q = encode_matrix(model.Q, s2)
-    be_r = encode_matrix(model.R, s2)
+    model_be = {k: encode_matrix(getattr(model, k), s2) for k in "ABHQR"}
     be_x = encode_vector(rng2.uniform(-1, 1, 4), s2)
     be_p = encode_matrix(np.eye(4), s2)
     be_u = encode_vector([0.5], s2)
     be_z = encode_vector(rng2.uniform(-1, 1, 4), s2)
-    x_minus = q_predict_state(ledger, be_a, be_x, be_b, be_u)
-    p_minus = q_predict_cov(ledger, be_a, be_p, be_q)
-    k_be = q_gain(ledger, p_minus, be_h, be_r, KappaPolicy.margin(1.1), 0.01)
-    x_hat2 = q_update_state(ledger, x_minus, k_be, be_h, be_z)
-    p_hat2 = q_update_cov(ledger, p_minus, k_be, be_h)
+    x_hat2, p_hat2 = q_step(NormLedger(), model_be, be_x, be_p, be_u, be_z,
+                            KappaPolicy.margin(1.1), 0.01)
     assert x_hat2.ancillas == 8 * s2 + 5
     assert p_hat2.ancillas == 9 * s2 + 4
 

@@ -148,7 +148,7 @@ def test_negative_seed_is_a_config_error(field, tmp_path, monkeypatch, capsys):
     assert err.startswith(f"error: {field}: must be >= 0")
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, (1, 2)])
+@pytest.mark.parametrize("seed", [-1, 2.5, (1, 2), True])
 def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
     config = parse_config(mini_config())
     # no controls for the one step: the seed check must come first

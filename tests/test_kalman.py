@@ -9,11 +9,12 @@ import qkalman.kalman as kalman
 import qkalman.tensor_ops as tensor_ops
 from helpers import model_with_innovation, philox
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
-from qkalman.block_encoding import decode
+from qkalman.block_encoding import decode, encode_data_structure
 from qkalman.errors import (
     ConfigError,
     DimensionError,
     MeasurementBudgetError,
+    NumericalFailureError,
     SigmaRangeError,
     SingularityError,
 )
@@ -30,8 +31,10 @@ from qkalman.kalman import (
     q_gain,
     q_predict_cov,
     q_predict_state,
+    q_step,
     q_update_cov,
     q_update_state,
+    read_out,
 )
 from qkalman.tensor_ops import Dense, ancilla_block
 
@@ -398,6 +401,51 @@ def test_step_reads_each_block_once_through_decode(s, mode, monkeypatch):
         np.testing.assert_allclose(block[:, col], single, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_q_step_and_read_out_equal_one_filter_step(s, mode):
+    # one step wired by hand from the run's own encodings and entropies
+    n = 2**s
+    A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
+        philox(90 + s), np.linspace(2.0, 1.0, n), 1)
+    model, init = KalmanModel(A, B, H, Q, R), FilterState(x0, P0)
+    policy, shots, iterations, seed = KappaPolicy.fixed(6.0), 4096, 2, 7
+    (_, want), run_ledger = q_filter_run(
+        model, init, us, zs, 1, mode, shots=shots, iterations=iterations,
+        seed=seed, kappa_policy=policy)
+
+    ledger = NormLedger()
+    model_be = {k: encode_matrix(getattr(model, k), s) for k in "ABHQR"}
+    x_hat_be, p_hat_be = q_step(
+        ledger, model_be, encode_vector(init.x_hat, s), encode_matrix(init.P, s),
+        encode_vector(us[0], s), encode_vector(zs[0], s), policy, 0.01, step=1)
+    sampled = mode == "sampled"
+    x_hat, x_meta = read_out(x_hat_be, "state readout", (
+        shots, iterations, [(seed, 1, 0)]) if sampled else None)
+    p_hat, p_meta = read_out(p_hat_be, "covariance readout", (
+        shots, iterations, [(seed, 1, 1 + j) for j in range(n)]) if sampled else None)
+    if sampled:
+        ledger.sampling_info[1] = {"x_hat": x_meta[0], "P": p_meta}
+    got = FilterState(x_hat[:, 0], p_hat, 1)
+
+    assert np.array_equal(got.x_hat, want.x_hat)
+    assert np.array_equal(got.P, want.P)
+    assert ledger.rows() == run_ledger.rows()
+    assert ledger.qsvt_info == run_ledger.qsvt_info
+    assert ledger.op_info == run_ledger.op_info
+    assert ledger.sampling_info == run_ledger.sampling_info
+    assert (x_meta is None) == (not sampled)
+
+
+def test_read_out_rejects_imaginary_residue_and_names_its_context():
+    with pytest.raises(NumericalFailureError, match="probe readout"):
+        read_out(encode_data_structure(1j * np.eye(2)), "probe readout")
+    be = encode_data_structure(np.array([[0.5, -1.0], [2.0, 0.25]]))
+    values, meta = read_out(be, "probe readout")
+    assert meta is None
+    assert np.array_equal(values, decode(be).real)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_filter_step_compacts_nothing(s, monkeypatch):
     # the inverse arrives from be_invert as one dense leaf on 2s+1 qubits,
@@ -497,17 +545,10 @@ def test_four_state_decode_stays_small():
     A, B, H, Q, R, x0, P0, us, zs = model_with_innovation(
         philox(62), (3.0, 2.0, 1.5, 1.0), 1)
     model, s = KalmanModel(A, B, H, Q, R), 2
-    ledger = NormLedger()
-    be = {name: encode_matrix(m, s)
-          for name, m in (("A", A), ("B", B), ("H", H), ("Q", Q), ("R", R),
-                          ("P", P0))}
-    x_minus = q_predict_state(ledger, be["A"], encode_vector(x0, s),
-                              be["B"], encode_vector(us[0], s))
-    p_minus = q_predict_cov(ledger, be["A"], be["P"], be["Q"])
-    k_be = q_gain(ledger, p_minus, be["H"], be["R"], KappaPolicy.fixed(6.0), 0.01)
-    x_hat = q_update_state(ledger, x_minus, k_be, be["H"],
-                           encode_vector(zs[0], s))
-    p_hat = q_update_cov(ledger, p_minus, k_be, be["H"])
+    model_be = {k: encode_matrix(getattr(model, k), s) for k in "ABHQR"}
+    x_hat, p_hat = q_step(NormLedger(), model_be, encode_vector(x0, s),
+                          encode_matrix(P0, s), encode_vector(us[0], s),
+                          encode_vector(zs[0], s), KappaPolicy.fixed(6.0), 0.01)
     assert (x_hat.op.nqubits, p_hat.op.nqubits) == (23, 24)
 
     tracemalloc.start()

@@ -54,3 +54,8 @@ def test_tiny_traced_round_gives_finite_layer_metrics(perfbench):
     # each step reads its four blocks through decode
     decodes = [s for s in tracer.spans if s.name == "block_encoding.decode"]
     assert len(decodes) == 4 * workload.steps
+    # q_step calls each stage where the tracer patched it: one span per step
+    for stage in ("q_predict_state", "q_predict_cov", "q_gain",
+                  "q_update_state", "q_update_cov"):
+        spans = [s for s in tracer.spans if s.name == f"kalman.{stage}"]
+        assert len(spans) == workload.steps, stage
