@@ -14,7 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 import yaml
@@ -36,16 +38,14 @@ from .kalman import (
 )
 from .tensor_ops import op_stats
 
-_MATRIX_KEYS = ("A", "B", "H", "Q", "R", "P0")
-_REQUIRED_KEYS = ("A", "B", "H", "Q", "R", "x0", "P0",
-                  "controls", "measurements", "steps")
-_OPTIONAL_KEYS = ("readout_mode", "shots", "iterations", "seed",
-                  "kappa", "kappa_margin", "eps_prime", "degree_cap")
-
 
 @dataclass
 class RunConfig:
-    """Validated model + run parameters; kappa=None means margin policy."""
+    """Validated model + run parameters; kappa=None means margin policy.
+
+    The fields are the config keys: one without a default is required,
+    and `_CHECKS` holds each key's check.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -61,28 +61,15 @@ class RunConfig:
     shots: int = 16384
     iterations: int = 100
     seed: int = 0
-    kappa: float | None = None
     kappa_margin: float = 1.1
     eps_prime: float = 0.01
     degree_cap: int = 501
+    kappa: float | None = None
 
     def __eq__(self, other):
         if not isinstance(other, RunConfig):
             return NotImplemented
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if not np.array_equal(np.asarray(a), np.asarray(b)):
-                    return False
-            elif isinstance(a, (list, tuple)):
-                if not isinstance(b, (list, tuple)) or len(a) != len(b):
-                    return False
-                if any(not np.array_equal(np.asarray(x), np.asarray(y))
-                       for x, y in zip(a, b)):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return _plain(self) == _plain(other)
 
     @property
     def model(self) -> KalmanModel:
@@ -99,32 +86,26 @@ class RunConfig:
         return KappaPolicy.margin(self.kappa_margin)
 
 
-def _as_matrix_field(value, path: str) -> np.ndarray:
+def _as_array(value, path: str, ndim: int) -> np.ndarray:
+    """A finite float array of `ndim` dimensions; fewer are padded in front."""
+    kind, form = ("vector", "flat vector") if ndim == 1 else ("array", "2-D array")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric array ({exc})") from None
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ConfigError(f"{path}: expected a 2-D array, got {arr.ndim}-D")
+        raise ConfigError(f"{path}: not a numeric {kind} ({exc})") from None
+    if arr.ndim < ndim:
+        arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
+    if arr.ndim != ndim:
+        raise ConfigError(f"{path}: expected a {form}, got {arr.ndim}-D")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}: entries must be finite")
     return arr
 
 
-def _as_vector_field(value, path: str) -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.array(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric vector ({exc})") from None
-    if arr.ndim != 1:
-        raise ConfigError(f"{path}: expected a flat vector, got {arr.ndim}-D")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}: entries must be finite")
-    return arr
+def _as_vectors(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of vectors")
+    return [_as_array(v, f"{path}[{i}]", 1) for i, v in enumerate(value)]
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -135,7 +116,8 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_float(value, path: str) -> float:
+def _as_float(value, path: str, ok=None, rule: str = "") -> float:
+    """A finite number; `ok(number)` false raises "{path}: {rule}, got ..."."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
@@ -144,14 +126,42 @@ def _as_float(value, path: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {number}")
+    if ok is not None and not ok(number):
+        raise ConfigError(f"{path}: {rule}, got {number}")
     return number
+
+
+def _as_mode(value, path: str) -> str:
+    if value not in ("exact", "sampled"):
+        raise ConfigError(
+            f"{path}: must be 'exact' or 'sampled', got {value!r}")
+    return value
+
+
+_CHECKS = {  # key -> check(value, key), returning the parsed value
+    **{key: partial(_as_array, ndim=2) for key in ("A", "B", "H", "Q", "R", "P0")},
+    "x0": partial(_as_array, ndim=1),
+    "controls": _as_vectors,
+    "measurements": _as_vectors,
+    "steps": partial(_as_int, minimum=0),
+    "readout_mode": _as_mode,
+    "shots": partial(_as_int, minimum=1),
+    "iterations": partial(_as_int, minimum=1),
+    "seed": partial(_as_int, minimum=0),
+    "kappa_margin": partial(_as_float, ok=lambda v: v >= 1, rule="must be >= 1"),
+    "eps_prime": partial(_as_float, ok=lambda v: 0 < v < 1,
+                         rule="must lie in (0,1)"),
+    "degree_cap": partial(_as_int, minimum=1),
+    "kappa": lambda value, path: None if value is None else _as_float(
+        value, path, ok=lambda v: v > 1, rule="must exceed 1"),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Validate a YAML config document into a RunConfig.
 
     Unknown keys are rejected with their location; every error message
-    names the offending field.
+    names the offending field. Without a `seed` key, QKALMAN_SEED is used.
     """
     try:
         doc = yaml.safe_load(text)
@@ -161,63 +171,23 @@ def parse_config(text: str) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping at the top level")
+    keys = [f.name for f in fields(RunConfig)]
     for key in doc:
-        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} at top level")
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
-            raise ConfigError(f"missing required key {key!r}")
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.name not in doc:
+            raise ConfigError(f"missing required key {f.name!r}")
 
-    kwargs = {}
-    for key in _MATRIX_KEYS:
-        kwargs[key] = _as_matrix_field(doc[key], key)
-    kwargs["x0"] = _as_vector_field(doc["x0"], "x0")
-    for name in ("controls", "measurements"):
-        seq = doc[name]
-        if not isinstance(seq, list):
-            raise ConfigError(f"{name}: expected a list of vectors")
-        kwargs[name] = [_as_vector_field(v, f"{name}[{i}]")
-                        for i, v in enumerate(seq)]
-    kwargs["steps"] = _as_int(doc["steps"], "steps", minimum=0)
-
-    if "readout_mode" in doc:
-        mode = doc["readout_mode"]
-        if mode not in ("exact", "sampled"):
+    kwargs = {key: _CHECKS[key](doc[key], key) for key in keys if key in doc}
+    env = os.environ.get("QKALMAN_SEED")
+    if "seed" not in doc and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
             raise ConfigError(
-                f"readout_mode: must be 'exact' or 'sampled', got {mode!r}")
-        kwargs["readout_mode"] = mode
-    if "shots" in doc:
-        kwargs["shots"] = _as_int(doc["shots"], "shots", minimum=1)
-    if "iterations" in doc:
-        kwargs["iterations"] = _as_int(doc["iterations"], "iterations", minimum=1)
-    if "seed" in doc:
-        kwargs["seed"] = _as_int(doc["seed"], "seed", minimum=0)
-    else:
-        env = os.environ.get("QKALMAN_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"QKALMAN_SEED: expected an integer, got {env!r}") from None
-            kwargs["seed"] = _as_int(seed, "QKALMAN_SEED", minimum=0)
-    if "kappa" in doc and doc["kappa"] is not None:
-        kappa = _as_float(doc["kappa"], "kappa")
-        if not kappa > 1:
-            raise ConfigError(f"kappa: must exceed 1, got {kappa}")
-        kwargs["kappa"] = kappa
-    if "kappa_margin" in doc:
-        margin = _as_float(doc["kappa_margin"], "kappa_margin")
-        if not margin >= 1:
-            raise ConfigError(f"kappa_margin: must be >= 1, got {margin}")
-        kwargs["kappa_margin"] = margin
-    if "eps_prime" in doc:
-        eps = _as_float(doc["eps_prime"], "eps_prime")
-        if not 0 < eps < 1:
-            raise ConfigError(f"eps_prime: must lie in (0,1), got {eps}")
-        kwargs["eps_prime"] = eps
-    if "degree_cap" in doc:
-        kwargs["degree_cap"] = _as_int(doc["degree_cap"], "degree_cap", minimum=1)
+                f"QKALMAN_SEED: expected an integer, got {env!r}") from None
+        kwargs["seed"] = _as_int(seed, "QKALMAN_SEED", minimum=0)
 
     config = RunConfig(**kwargs)
     model = config.model  # dimension validation with field-named errors
@@ -229,30 +199,15 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _plain(config: RunConfig) -> dict:
+    """The config as plain lists and numbers in field order; kappa if set."""
+    doc = {f.name: getattr(config, f.name) for f in fields(config)}
+    return _jsonable({k: v for k, v in doc.items() if v is not None})
+
+
 def emit_config(config: RunConfig) -> str:
     """YAML text that parses back to an equal RunConfig."""
-    doc = {
-        "A": config.A.tolist(),
-        "B": config.B.tolist(),
-        "H": config.H.tolist(),
-        "Q": config.Q.tolist(),
-        "R": config.R.tolist(),
-        "x0": config.x0.tolist(),
-        "P0": config.P0.tolist(),
-        "controls": [np.asarray(u).tolist() for u in config.controls],
-        "measurements": [np.asarray(z).tolist() for z in config.measurements],
-        "steps": config.steps,
-        "readout_mode": config.readout_mode,
-        "shots": config.shots,
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "kappa_margin": config.kappa_margin,
-        "eps_prime": config.eps_prime,
-        "degree_cap": config.degree_cap,
-    }
-    if config.kappa is not None:
-        doc["kappa"] = config.kappa
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(_plain(config), sort_keys=False)
 
 
 def _jsonable(obj):
@@ -295,7 +250,7 @@ def run_report(config: RunConfig) -> dict:
             "P_q": q.P, "P_c": c.P,
         })
     report = {
-        "config": yaml.safe_load(emit_config(config)),
+        "config": _plain(config),
         "readout_mode": config.readout_mode,
         "steps": steps_out,
         "ledger": ledger.rows(),
@@ -351,11 +306,16 @@ def _fmt(v) -> str:
 
 def _load_matrix_file(path: str, paired_complex: bool) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: not a numeric CSV matrix ({exc})") from None
+    if arr.size == 0:
+        raise ConfigError(f"{path}: no matrix entries")
+    arr = _as_array(arr, path, 2)
     if paired_complex:
         if arr.shape[1] % 2 != 0:
             raise ConfigError(

@@ -71,8 +71,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _check_cov(name: str, mat: np.ndarray):
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"{name} must be square, got {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > 1e-9 * scale:
         raise DimensionError(f"{name} must be symmetric")

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from qkalman.cli import (
     parse_config,
     run_report,
 )
-from qkalman.errors import ConfigError
+from qkalman.errors import ConfigError, DimensionError
 from qkalman.kalman import q_filter_run
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -64,7 +67,7 @@ def test_config_round_trip():
     assert again == config
 
 
-def test_parse_rejects_bad_documents():
+def test_parse_rejects_bad_documents(monkeypatch):
     with pytest.raises(ConfigError, match="A"):
         parse_config("")
     with pytest.raises(ConfigError, match="steps"):
@@ -83,6 +86,26 @@ def test_parse_rejects_bad_documents():
         parse_config(mini_config(kappa_margin=0.5))
     with pytest.raises(ConfigError, match="not valid YAML"):
         parse_config("A: [[1.0")
+    # one input per check, each pinned to the start of its message
+    for doc, message in [
+        ("- 1\n- 2\n", "config must be a mapping at the top level"),
+        (mini_config(controls=3), "controls: expected a list of vectors"),
+        (mini_config(A="abc"), "A: not a numeric array ("),
+        (mini_config(A=[[[1.0]]]), "A: expected a 2-D array, got 3-D"),
+        (mini_config(A=[[float("nan"), 1.0], [1.0, 1.0]]),
+         "A: entries must be finite"),
+        (mini_config(x0=[[1.0, 2.0]]), "x0: expected a flat vector, got 2-D"),
+        (mini_config(controls=[["a"]]), "controls[0]: not a numeric vector ("),
+        (mini_config(steps=True), "steps: expected an integer, got True"),
+    ]:
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(doc)
+    with pytest.raises(DimensionError, match=r"^P0 must be 2x2, got \(1, 1\)$"):
+        parse_config(mini_config(P0=[[1.0]]))
+    monkeypatch.setenv("QKALMAN_SEED", "x")
+    with pytest.raises(ConfigError,
+                       match="^QKALMAN_SEED: expected an integer, got 'x'$"):
+        parse_config(mini_config())
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
@@ -116,7 +139,6 @@ def test_fixed_kappa_window_failure_exit_codes(overrides, code, tmp_path):
 
 
 def test_parse_rejects_mismatched_shapes():
-    from qkalman.errors import DimensionError
     with pytest.raises(DimensionError, match="B"):
         parse_config(mini_config(B=[[1.0], [1.0], [1.0]]))
     with pytest.raises(DimensionError, match="x0"):
@@ -160,6 +182,26 @@ def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
 # ---------------------------------------------------------------------------
 # reports and CSV export
 # ---------------------------------------------------------------------------
+
+def test_report_config_is_the_emitted_yaml():
+    keys = ["A", "B", "H", "Q", "R", "x0", "P0", "controls", "measurements",
+            "steps", "readout_mode", "shots", "iterations", "seed",
+            "kappa_margin", "eps_prime", "degree_cap"]
+    for config, last in ((parse_config(mini_config()), []),
+                         (parse_config(mini_config(kappa=3.5)), ["kappa"])):
+        doc = yaml.safe_load(emit_config(config))
+        assert list(doc) == keys + last  # kappa only when it is set
+        assert run_report(config)["config"] == doc
+
+
+def test_readme_documents_every_config_key():
+    readme_path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme_path) as fh:
+        section = fh.read().split("## Configuration\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert [f.name for f in fields(RunConfig)
+            if f"`{f.name}`" not in section] == []
+
 
 def test_zero_step_report_shape():
     report = run_report(parse_config(mini_config()))
@@ -291,6 +333,22 @@ def test_encode_command_bad_file(tmp_path):
     path = tmp_path / "text.csv"
     path.write_text("not,a\nnumber,grid\n")
     assert main(["encode", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["encode"],
+                                     ["invert", "--kappa", "3", "--eps", "0.1"]])
+@pytest.mark.parametrize("content, message", [
+    ("", "no matrix entries"),
+    ("1,nan\n1,1\n", "entries must be finite"),
+], ids=["empty", "nan"])
+def test_matrix_file_without_finite_entries_is_a_config_error(
+        command, content, message, tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_invert_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -320,6 +321,34 @@ def test_filter_run_rejects_short_inputs():
     model, init, u, z = demo_parts()
     with pytest.raises(DimensionError, match="at least"):
         q_filter_run(model, init, [u], [z], 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m, i, u, z: q_filter_run(m, i, [u], [z], 1, "telepathy"),
+     ConfigError, "readout_mode must be exact or sampled, got 'telepathy'"),
+    (lambda m, i, u, z: q_filter_run(m, i, [u], [z], -1),
+     ConfigError, "steps must be nonnegative, got -1"),
+    (lambda m, i, u, z: q_filter_run(
+        m, FilterState([1.0, 2.0, 3.0], np.eye(3)), [u], [z], 1),
+     DimensionError, "initial state dimension does not match the model"),
+    (lambda m, i, u, z: q_filter_run(m, i, [[1, 2, 3]], [z], 1),
+     DimensionError, "controls[0] has 3 entries, expected 1"),
+    (lambda m, i, u, z: classical_intermediates(m, i, [1.0, 2.0], z),
+     DimensionError, "control has 2 entries, expected 1"),
+    (lambda m, i, u, z: classical_intermediates(m, i, u, [1.0, 2.0, 3.0]),
+     DimensionError, "measurement has 3 entries, expected 2"),
+    (lambda m, i, u, z: classical_intermediates(
+        m, FilterState([1.0], np.eye(1)), u, z),
+     DimensionError, "state dimension does not match the model"),
+    (lambda m, i, u, z: encode_vector(np.eye(2), 1),
+     DimensionError, "expected a vector"),
+], ids=["readout-mode", "negative-steps", "state-size", "control-size",
+        "classical-control", "classical-measurement", "classical-state",
+        "vector-of-a-matrix"])
+def test_up_front_checks_refuse_bad_arguments(call, error, message):
+    model, init, u, z = demo_parts()
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(model, init, u, z)
 
 
 def test_filter_run_random_models_track_classical():
