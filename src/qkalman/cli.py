@@ -93,6 +93,8 @@ def _as_array(value, path: str, ndim: int) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a numeric {kind} ({exc})") from None
+    if any(isinstance(v, bool) for v in np.ravel(np.array(value, dtype=object))):
+        raise ConfigError(f"{path}: entries must be numbers, not booleans")
     if arr.ndim < ndim:
         arr = arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
     if arr.ndim != ndim:

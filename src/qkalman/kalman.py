@@ -32,9 +32,9 @@ one dense leaf on 2s+1 qubits when the encoding has at most
 `DENSE_THRESHOLD` qubits (s <= 3) and as a lazy tree above that;
 every other stage is one product or LCU sum.
 
-The innovation dimension must fill its register exactly (m = 2^s):
-zero-padding would make the padded innovation covariance singular and
-uninvertible.
+Any n, m and c run: every matrix is zero-padded into the 2^s register,
+`decode` crops each block to its logical shape, and the odd inverse
+polynomial maps the padding's zero singular values to 0.
 """
 
 from __future__ import annotations
@@ -478,10 +478,6 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
     if init.x_hat.size != n:
         raise DimensionError("initial state dimension does not match the model")
     s = max(1, math.ceil(math.log2(max(n, c, m))))
-    if m != 2**s:
-        raise DimensionError(
-            f"measurement dimension {m} must fill the register (2^{s} = {2**s}); "
-            "padding would make the innovation covariance singular")
     if steps > 0 and (len(controls) < steps or len(measurements) < steps):
         raise DimensionError(
             f"need at least {steps} controls and measurements, "

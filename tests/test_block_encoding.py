@@ -170,6 +170,8 @@ def test_svd_dilation_roundtrip(s):
 def test_svd_dilation_rejects_expansions():
     with pytest.raises(SigmaRangeError):
         encode_svd_dilation(np.diag([1.2, 0.5]))
+    with pytest.raises(DimensionError, match=r"^need a 2\^s square matrix, got \(3, 3\)$"):
+        encode_svd_dilation(0.1 * np.eye(3))
 
 
 def test_encode_zero_decodes_to_zero():
@@ -178,6 +180,9 @@ def test_encode_zero_decodes_to_zero():
     assert out.shape == (3, 3)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
     assert unitarity_residual(be.op) < 1e-12
+    with pytest.raises(DimensionError,
+                       match="^zero encoding needs at least one ancilla$"):
+        encode_zero(0)
 
 
 def test_block_encoding_validates_fields():
@@ -196,6 +201,9 @@ def test_validate_reports_deviation():
     assert ok.ok and ok.deviation < 1e-10
     bad = validate(be, m + 0.5)
     assert not bad.ok and bad.deviation > 0.1
+    with pytest.raises(DimensionError,
+                       match=r"^expected \(1, 2\), decoded \(2, 2\)$"):
+        validate(be, m[:1])
 
 
 # ---------------------------------------------------------------------------

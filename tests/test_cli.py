@@ -20,8 +20,8 @@ from qkalman.cli import (
 from qkalman.errors import ConfigError, DimensionError
 from qkalman.kalman import q_filter_run
 
-CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
-                           "worked_example.yaml")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+CONFIG_PATH = os.path.join(CONFIG_DIR, "worked_example.yaml")
 
 MINI_CONFIG = """
 A: [[1.0, -1.0], [1.0, 1.0]]
@@ -97,6 +97,12 @@ def test_parse_rejects_bad_documents(monkeypatch):
         (mini_config(x0=[[1.0, 2.0]]), "x0: expected a flat vector, got 2-D"),
         (mini_config(controls=[["a"]]), "controls[0]: not a numeric vector ("),
         (mini_config(steps=True), "steps: expected an integer, got True"),
+        (mini_config(eps_prime="x"), "eps_prime: expected a number, got 'x'"),
+        (mini_config(A=[[True, False], [1, 1]]),
+         "A: entries must be numbers, not booleans"),
+        (mini_config(x0=[True, 1.0]), "x0: entries must be numbers, not booleans"),
+        (mini_config(controls=[[True]]),
+         "controls[0]: entries must be numbers, not booleans"),
     ]:
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_config(doc)
@@ -295,6 +301,32 @@ def test_run_command_singular_model_exit_code(tmp_path):
     assert main(["run", str(config_path)]) == 5
 
 
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(CONFIG_DIR) if f.endswith(".yaml")))
+def test_every_bundled_config_runs(name, capsys):
+    assert main(["run", os.path.join(CONFIG_DIR, name)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if report["readout_mode"] != "exact":
+        return
+    eps = {step: e for step, label, _, _, e in report["ledger"]
+           if label == "alpha_x_hat"}
+    for row in report["steps"][1:]:
+        err = np.max(np.abs(np.subtract(row["x_hat_q"], row["x_hat_c"])))
+        assert err <= eps[row["step"]]
+
+
+def test_scalar_x0_runs_a_one_state_model(tmp_path, capsys):
+    config_path = tmp_path / "scalar.yaml"
+    config_path.write_text(yaml.safe_dump(dict(
+        A=[[0.9]], B=[[1.0]], H=[[1.0]], Q=[[0.1]], R=[[0.5]], x0=2.0,
+        P0=[[1.0]], controls=[[0.5]], measurements=[[1.5]], steps=1)))
+    assert main(["run", str(config_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["x0"] == [2.0]
+    np.testing.assert_allclose(report["steps"][1]["x_hat_q"],
+                               report["steps"][1]["x_hat_c"], atol=1e-6)
+
+
 def test_run_command_dimension_exit_code(tmp_path):
     config_path = tmp_path / "bad.yaml"
     config_path.write_text(mini_config(B=[[1.0], [1.0], [1.0]]))
@@ -351,6 +383,20 @@ def test_matrix_file_without_finite_entries_is_a_config_error(
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("argv, rows, code, message", [
+    (["encode", "--complex"], [[1.0, 2.0, 3.0]], 2,
+     "{path}: paired-column complex input needs an even column count, got 3"),
+    (["invert", "--kappa", "3", "--eps", "0.1"], [[1.0, 2.0, 3.0]], 3,
+     "inversion needs a square matrix, got (1, 3)"),
+], ids=["encode-complex-odd", "invert-non-square"])
+def test_matrix_commands_refuse_bad_shapes(argv, rows, code, message,
+                                           tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    np.savetxt(path, rows, delimiter=",")
+    assert main([argv[0], str(path)] + argv[1:]) == code
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
 def test_invert_command(tmp_path, capsys):
     path = tmp_path / "m.csv"
     np.savetxt(path, np.diag([13.0, 4.0]), delimiter=",")
@@ -373,6 +419,11 @@ def test_angles_command(tmp_path, capsys):
     values = [float(line) for line in out_path.read_text().strip().splitlines()]
     assert len(values) == 58
     assert all(np.isfinite(values))
+    # without --out the angles go to stdout, the metadata still to stderr
+    assert main(["angles", "--kappa", "3.5", "--eps", "0.01"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out_path.read_text()
+    assert "degree 57" in captured.err
 
 
 def test_run_config_equality_uses_array_contents():

@@ -172,6 +172,8 @@ def test_eval_cheb_rejects_out_of_domain():
     poly = ChebPoly([1.0], 1, 2.0, 1.0, 0.0)
     with pytest.raises(SigmaRangeError):
         eval_cheb(poly, 1.5)
+    with pytest.raises(SigmaRangeError):
+        qsp_response(PhaseFactors([0.1, 0.2]), 1.5)
 
 
 def test_chebpoly_validation():
@@ -181,6 +183,10 @@ def test_chebpoly_validation():
         ChebPoly([1.0, 0.0], 1, 2.0, 1.0, 0.0)
     with pytest.raises(ParityError):
         inverse_poly_at_degree(3.5, 0.01, 10)
+    with pytest.raises(DimensionError, match="^need at least two angles$"):
+        PhaseFactors([0.1])
+    with pytest.raises(DimensionError, match="^angles must be finite$"):
+        PhaseFactors([0.1, np.nan])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ import pytest
 import qkalman.block_encoding as block_encoding
 import qkalman.kalman as kalman
 import qkalman.tensor_ops as tensor_ops
-from helpers import model_with_innovation, philox
+from helpers import model_with_innovation, philox, rand_orthogonal
 from qkalman.arithmetic import be_add, be_adjoint, be_multiply, be_negate
 from qkalman.block_encoding import decode, encode_data_structure
 from qkalman.errors import (
+    ApproximationError,
     ConfigError,
     DimensionError,
     MeasurementBudgetError,
@@ -111,6 +112,8 @@ def test_model_validation_names_offending_field():
         KalmanModel(eye, col, eye, eye, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DimensionError, match="R"):
         KalmanModel(eye, col, eye, eye, np.diag([1.0, -0.5]))
+    with pytest.raises(DimensionError, match=r"^R must be 1x1, got \(2, 2\)$"):
+        KalmanModel(eye, col, np.array([[1.0, 0.0]]), eye, eye)
 
 
 def test_filter_state_validation():
@@ -309,12 +312,58 @@ def test_filter_run_zero_steps_returns_initial():
     assert ledger.entries == []
 
 
-def test_filter_run_rejects_partial_observation():
-    model = KalmanModel(np.eye(2), np.ones((2, 1)), np.array([[1.0, 0.0]]),
-                        np.eye(2), np.eye(1))
-    init = FilterState([0.0, 0.0], np.eye(2))
-    with pytest.raises(DimensionError, match="measurement dimension"):
-        q_filter_run(model, init, [[0.0]], [[0.0]], 1)
+def assert_within_ledger_eps(model, traj, ledger, us, zs):
+    """Each step's x_hat (max-abs) and P (2-norm) error against the
+    classical step from the same prior is within its ledger eps."""
+    n = model.state_dim
+    for k in range(1, len(traj)):
+        want = classical_step(model, traj[k - 1], us[k - 1], zs[k - 1])
+        assert traj[k].x_hat.shape == (n,) and traj[k].P.shape == (n, n)
+        assert (np.max(np.abs(traj[k].x_hat - want.x_hat))
+                <= ledger.find("alpha_x_hat", k).eps)
+        assert np.linalg.norm(traj[k].P - want.P, 2) <= ledger.find("alpha_P", k).eps
+
+
+def shaped_model(n, m, c, steps=3):
+    """Random model with n states, m measurements and c controls (Philox 61)."""
+    rng = philox(61)
+    model = KalmanModel(0.9 * rand_orthogonal(rng, n), rng.standard_normal((n, c)),
+                        rng.standard_normal((m, n)), 0.1 * np.eye(n),
+                        0.5 * np.eye(m))
+    init = FilterState(rng.standard_normal(n), 0.5 * np.eye(n))
+    return (model, init, rng.standard_normal((steps, c)),
+            rng.standard_normal((steps, m)))
+
+
+@pytest.mark.parametrize("n, m, c", [
+    (1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1), (4, 2, 1),
+    (4, 3, 2), (5, 2, 1), (8, 3, 1)])
+def test_filter_run_any_shape_tracks_classical(n, m, c):
+    # every matrix is zero-padded into the 2^s register and decoded back
+    # to its logical shape; the odd inverse polynomial keeps padding at 0
+    model, init, us, zs = shaped_model(n, m, c)
+    traj, ledger = q_filter_run(model, init, us, zs, 3)
+    assert_within_ledger_eps(model, traj, ledger, us, zs)
+
+
+def test_filter_run_sampled_partial_observation():
+    model, init, us, zs = shaped_model(2, 1, 1)
+    traj, ledger = q_filter_run(model, init, us, zs, 3, "sampled", seed=5,
+                                shots=4096, iterations=4)
+    assert sorted(ledger.sampling_info) == [1, 2, 3]
+    for state in traj[1:]:
+        assert np.all(np.isfinite(state.x_hat)) and np.all(np.isfinite(state.P))
+    assert len(ledger.sampling_info[3]["P"]) == 2
+
+
+def test_scalar_innovation_needs_a_margin_above_one():
+    # a 1x1 innovation has kappa_measured = 1, so margin 1 asks for kappa 1
+    model, init, us, zs = shaped_model(2, 1, 1, steps=1)
+    traj, ledger = q_filter_run(model, init, us, zs, 1)
+    assert ledger.qsvt_info[1]["kappa_measured"] == 1.0
+    assert ledger.qsvt_info[1]["degree"] == 11
+    with pytest.raises(ApproximationError, match="exceed 1"):
+        q_filter_run(model, init, us, zs, 1, kappa_policy=KappaPolicy.margin(1.0))
 
 
 def test_filter_run_rejects_short_inputs():
@@ -546,12 +595,8 @@ def _check_exact_filter(seed: int, spectrum, s: int, steps: int = 2):
     traj, ledger = q_filter_run(model, FilterState(x0, P0), us, zs, steps,
                                 kappa_policy=KappaPolicy.margin(1.1))
     assert ledger.find("alpha_P", 1).ancillas == 9 * s + 4
-    for k in range(1, steps + 1):
-        want = classical_step(model, traj[k - 1], us[k - 1], zs[k - 1])
-        x_err = np.max(np.abs(traj[k].x_hat - want.x_hat))
-        p_err = np.linalg.norm(traj[k].P - want.P, 2)
-        assert x_err <= ledger.find("alpha_x_hat", k).eps
-        assert p_err <= ledger.find("alpha_P", k).eps
+    assert len(traj) == steps + 1
+    assert_within_ledger_eps(model, traj, ledger, us, zs)
 
 
 def test_exact_filter_at_eight_states():

@@ -132,6 +132,9 @@ def test_pooled_report_rejects_empty_budget():
         pooled_report(np.array([0.6, 0.8]), 2**62, 4, 0)
     report = pooled_report(np.array([0.6, 0.8]), 2**62 - 1, 2, 0)
     assert report.counts.sum() == report.total == 2**63 - 2
+    with pytest.raises(DimensionError,
+                       match="^amplitude vector has no probability mass$"):
+        sample_counts(np.zeros(3), 10, 0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, (5, 1, 2)])

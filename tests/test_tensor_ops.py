@@ -33,6 +33,8 @@ def test_dense_rejects_bad_shapes():
         Dense(np.ones((3, 3)))
     with pytest.raises(NumericalFailureError):
         Dense(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(DimensionError, match="^expected a matrix, got ndim=3$"):
+        tensor_ops.as_matrix(np.ones((2, 2, 2)))
 
 
 def test_product_applies_right_to_left():
@@ -45,6 +47,11 @@ def test_product_applies_right_to_left():
 def test_product_requires_matching_children():
     with pytest.raises(DimensionError):
         Product((identity_op(1), identity_op(2)))
+    with pytest.raises(DimensionError, match="^Product needs at least one child$"):
+        Product(())
+    with pytest.raises(DimensionError,
+                       match="^Select branches must share a qubit count$"):
+        Select(identity_op(1), identity_op(2))
 
 
 def test_adjoint_is_conjugate_transpose():
@@ -105,6 +112,18 @@ def test_extend_validates_wires():
         Extend(u, 2, (2,))
     with pytest.raises(DimensionError):
         Extend(u, 1, (0, 0))
+    with pytest.raises(DimensionError, match="^Extend wires must be distinct$"):
+        Extend(Dense(np.eye(4)), 3, (1, 1))
+
+
+@pytest.mark.parametrize("wires, message", [
+    ((0, 0), "ProjectorPhase wires must be distinct"),
+    ((2,), "ProjectorPhase wires out of range"),
+    ((-1,), "ProjectorPhase wires out of range"),
+], ids=["repeated", "above", "negative"])
+def test_projector_phase_validates_wires(wires, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        ProjectorPhase(0.3, 2, wires)
 
 
 def test_projector_phase_global():
