@@ -24,6 +24,19 @@ by (1 - 1e-8), so the normalized polynomial obeys |p| <= 1 with a strict
 margin; scale plays the role of the kappa*beta factor relating p to 1/x.
 The |x| where that max is taken is kept as `peak_at` for the phase solver.
 
+Both measurements use the 20001-point grid, but evaluate the series only
+where a bound says a point can still set the result, so they return
+what full-grid scans return, bit for bit. Dropped coefficient j is
+4 P(Bin(2b, 1/2) >= b + j + 1) <= 4 exp(-(j+1)^2/b) (Hoeffding), so on
+[-1, 1] the kept series is within tau = 4 sum_{j>=h} exp(-(j+1)^2/b) +
+1e-6 of f (h kept terms; the 1e-6 covers rounding). On [1/kappa, 1],
+|series - 1/x| <= (1 - x^2)^b / x + tau, which falls with x: only the
+grid prefix where that bound reaches the error at 1/kappa is evaluated.
+|series(x)| <= f(|x|) + tau with f unimodal on (0, 1]: the peak scan
+evaluates the one run of grid points on each sign, around f's peak,
+where that bound reaches the series' value beside the peak, then
+refines as before. Doubling searches in scalar `math` find both cuts.
+
 Phases
 ------
 Phase factors are solved in the W_x convention: the scalar response is
@@ -55,7 +68,9 @@ U = Q W Q^T with Q = P_{h-1} E_{h-1}, and every suffix is S_k = P_k^dag U
 because P_k S_k = U. The derivative insertion at angle k is then
 (P_k iZ P_k^dag U)_00, and the insertions at k and d - k are equal (one is
 the transpose of the other), so each Jacobian column is twice the
-insertion at its own index. The result is verified at the order-d
+insertion at its own index. The Jacobian is built from the residual
+pass's prefixes only when a step follows, so the pass that finds
+convergence builds none. The result is verified at the order-d
 nodes by `_response_batch`, which carries row 0 of the plain product of
 the full angle list and so shares neither the SU(2)-pair form nor the
 palindrome identity with the kernel it checks.
@@ -116,6 +131,10 @@ from .tensor_ops import (
 
 _GRID_POINTS = 20001  # points of the measuring grid: the peak scan and the 1/x error
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
+# added to the tail bound for rounding: over 500x Clenshaw's, about
+# d^2 2^-53 sum |c_j| <= 2e-9 at the degree cap
+_TAIL_SLACK = 1e-6
+_PEAK_U = 1.2564312086261697  # root of e^u = 1 + 2u: f peaks near x^2 = _PEAK_U / b
 _NEWTON_TOL = 1e-12  # node residual at which Newton stops early
 _NEWTON_MAXITER = 50
 _ARCCOS_BELOW = 5e-3  # node residual below which Newton works on arccos(Re u00)
@@ -224,32 +243,138 @@ def _odd_series_one_over_x(b: int, count: int | None = None) -> np.ndarray:
     return coeffs
 
 
-def _series_max(odd_coeffs: np.ndarray,
-                xs: np.ndarray | None = None) -> tuple[float, float]:
+def _tail_bound(b: int, kept: int) -> float:
+    """tau >= |series - f| on [-1, 1] for the first `kept` of f's b terms.
+
+    Dropped coefficient j is 4 P(Bin(2b, 1/2) >= b + j + 1) in size, at
+    most 4 exp(-(j+1)^2/b) by Hoeffding. The sum over j >= kept is at
+    most its first term plus the integral of the rest, an erfc;
+    _TAIL_SLACK covers the rounding of the series and of this bound.
+    """
+    if kept >= b:
+        return _TAIL_SLACK
+    t = (kept + 1) / math.sqrt(b)
+    tail = math.exp(-t * t) + 0.5 * math.sqrt(math.pi * b) * math.erfc(t)
+    return 4.0 * tail + _TAIL_SLACK
+
+
+def _log_gap(x: float, b: int) -> float:
+    """log (1 - x^2)^b for 0 < x <= 1 (-inf at 1)."""
+    return b * math.log1p(-x * x) if x < 1.0 else -math.inf
+
+
+def _run_end(keep, start: int, stop: int) -> int:
+    """First index from start toward stop (exclusive) where keep fails.
+
+    Doubling steps, then a bisection, so O(log) calls of keep; stop when
+    no probe fails and start when keep fails there. Indices up to the
+    one returned may hold without being probed: callers keep them all,
+    and drop only those past it, where their bound is monotone.
+    """
+    if not keep(start):
+        return start
+    step = 1 if stop > start else -1
+    good, bad, jump = start, stop, 1
+    while (stop - (start + step * jump)) * step > 0:
+        probe = start + step * jump
+        if not keep(probe):
+            bad = probe
+            break
+        good, jump = probe, 2 * jump
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if keep(mid):
+            good = mid
+        else:
+            bad = mid
+    return bad
+
+
+def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int):
+    """Indices of xs (ascending) where |series| can reach its max over xs.
+
+    odd_coeffs are the first terms of f's series for this b, and xs the
+    [-1, 1] measuring grid. |series(x)| <= f(|x|) + tau, and f is
+    unimodal on (0, 1], so a point with f(|x|) + tau below the series'
+    value m_lo at the grid points beside f's peak on both signs cannot
+    hold the max; the points left on each sign form one run around the
+    peak, which `_run_end` bounds from the points beside it. None (scan
+    every point) when neither point beside the peak on a sign is kept.
+    """
+    tau = _tail_bound(b, odd_coeffs.size)
+    top = min(1.0, math.sqrt(_PEAK_U / b))
+    neg_end = int(np.searchsorted(xs, 0.0, "left"))  # first x >= 0
+    pos_start = int(np.searchsorted(xs, 0.0, "right"))  # first x > 0
+    right = max(int(np.searchsorted(xs, top, "left")), pos_start + 1)
+    left = min(int(np.searchsorted(xs, -top, "right")), neg_end - 1)
+    beside = np.array([left - 1, left, right - 1, right])
+    m_lo = float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs[beside]))))
+
+    def keep(i):
+        x = abs(float(xs[i]))
+        return -math.expm1(_log_gap(x, b)) / x + tau >= m_lo
+
+    runs = []
+    for lo, hi, lo_stop, hi_stop in ((left - 1, left, -1, neg_end),
+                                     (right - 1, right, pos_start - 1, xs.size)):
+        if not (keep(lo) or keep(hi)):
+            return None
+        runs.append(np.arange(_run_end(keep, lo, lo_stop) + 1,
+                              _run_end(keep, hi, hi_stop)))
+    return np.concatenate(runs)
+
+
+def _series_max(odd_coeffs: np.ndarray, xs: np.ndarray | None = None,
+                b: int | None = None) -> tuple[float, float]:
     """(max |series| over [-1, 1], the |x| where it is taken).
 
     A scan of xs (the measuring grid when None), then a local
     refinement: the bracket around the best point is re-scanned with 65
     points, each pass narrowing it 32-fold, until it is 1e-13 wide.
+    When odd_coeffs are a truncation of f's series for this b, the grid
+    scan visits only `_peak_candidates`; the first best point, and so
+    the bracket and the result, are the full scan's.
     """
     if xs is None:
         xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    at = None if b is None else _peak_candidates(odd_coeffs, xs, b)
     peak = where = 0.0
     while True:
-        vals = np.abs(_clenshaw_odd(odd_coeffs, xs))
+        pts = xs if at is None else xs[at]
+        vals = np.abs(_clenshaw_odd(odd_coeffs, pts))
         i = int(np.argmax(vals))
         if vals[i] > peak:
-            peak, where = float(vals[i]), abs(float(xs[i]))
+            peak, where = float(vals[i]), abs(float(pts[i]))
+        if at is not None:
+            i, at = int(at[i]), None
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
         if hi - lo <= 1e-13:
             return peak, where
         xs = np.linspace(lo, hi, 65)
 
 
-def _measured_error(odd_coeffs: np.ndarray, kappa: float) -> float:
-    """sup over the grid on [1/kappa, 1] of |series(x) - 1/x| (unscaled)."""
+def _measured_error(odd_coeffs: np.ndarray, kappa: float, b: int) -> float:
+    """sup over the grid on [1/kappa, 1] of |series(x) - 1/x| (unscaled).
+
+    odd_coeffs are the first terms of f's series for this b. There
+    |series - 1/x| <= (1 - x^2)^b / x + tau, decreasing in x, so only
+    the grid prefix where that bound reaches the error e_0 at 1/kappa
+    can hold the sup, and only that prefix is evaluated.
+    """
     xs = np.linspace(1.0 / kappa, 1.0, _GRID_POINTS)
-    return float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs) - 1.0 / xs)))
+    tau = _tail_bound(b, odd_coeffs.size)
+
+    def errors(head):
+        return np.abs(_clenshaw_odd(odd_coeffs, head) - 1.0 / head)
+
+    e0 = float(errors(xs[:1])[0])
+
+    def keep(i):
+        x = float(xs[i])
+        return math.exp(_log_gap(x, b)) / x + tau >= e0
+
+    end = _run_end(keep, 1, xs.size)
+    return max(e0, float(np.max(errors(xs[1:end])))) if end > 1 else e0
 
 
 def smoothing_order(kappa: float, eps_prime: float) -> int:
@@ -257,9 +382,15 @@ def smoothing_order(kappa: float, eps_prime: float) -> int:
     return math.ceil(kappa**2 * math.log(kappa / eps_prime))
 
 
-def _normalized(odd: np.ndarray, kappa: float, err: float) -> ChebPoly:
+def _start_degree(b: int, eps_prime: float) -> int:
+    """2*ceil(sqrt(b*ln(4b/eps'))) + 1, the sufficient cutoff, at most 2b - 1."""
+    return min(2 * math.ceil(math.sqrt(b * math.log(4 * b / eps_prime))) + 1,
+               2 * b - 1)
+
+
+def _normalized(odd: np.ndarray, b: int, kappa: float, err: float) -> ChebPoly:
     """The series over its peak (with the margin), err its unscaled error."""
-    peak, where = _series_max(odd)
+    peak, where = _series_max(odd, b=b)
     scale = peak / (1.0 - _MARGIN)
     return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale,
                     where)
@@ -285,17 +416,15 @@ def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> Cheb
         raise ApproximationError(f"eps_prime must lie in (0,1), got {eps_prime}")
     try:
         b = smoothing_order(kappa, eps_prime)
-        j0 = math.ceil(math.sqrt(b * math.log(4 * b / eps_prime)))
+        d = _start_degree(b, eps_prime)
     except OverflowError:
         raise ApproximationError(
             f"smoothing order overflows at kappa {kappa}, eps' {eps_prime}") from None
-    d = min(2 * j0 + 1, 2 * b - 1)
     if d > degree_cap:
         raise ApproximationError(f"required degree {d} exceeds the cap {degree_cap}")
-    series = _odd_series_one_over_x(b, (min(degree_cap, 2 * b - 1) + 1) // 2)
     while True:
-        odd = series[: (d + 1) // 2].copy()
-        err = _measured_error(odd, kappa)
+        odd = _odd_series_one_over_x(b, (d + 1) // 2)  # rebuilt on the rare bump
+        err = _measured_error(odd, kappa, b)
         if err <= eps_prime:
             break
         d += 2
@@ -304,7 +433,7 @@ def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> Cheb
                 f"tolerance {eps_prime} unattained at degree cap "
                 f"{degree_cap} (err {err:.3g})"
             )
-    return _normalized(odd, kappa, err)
+    return _normalized(odd, b, kappa, err)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +508,8 @@ def _sym_angles(free: np.ndarray) -> np.ndarray:
     return np.concatenate([free, free[::-1]])
 
 
-def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
-    """Real-part residual at the nodes and its Jacobian w.r.t. free angles.
+def _residual_pass(free: np.ndarray, x: np.ndarray, target: np.ndarray):
+    """Real-part residual at the nodes, and what `_jacobian` needs from the pass.
 
     Works on the factor sequence E_0 W E_1 ... W E_d with diagonal
     E_k = diag(e^{i psi_k}, e^{-i psi_k}). Every factor, and so every
@@ -393,7 +522,8 @@ def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
     is therefore i[(|a_k|^2 - |b_k|^2) U_00 + 2 a_k b_k U_01*]. Free angle m
     moves psi_m and psi_{d-m}, whose insertions are equal (the one at d - m
     is the transpose of the one at m), so column m is twice the insertion
-    at k = m.
+    at k = m. Returns (r, (a, b, u00, u01)): the prefixes' pairs and row 0
+    of U.
     """
     half = free.size
     iroot = 1j * np.sqrt(np.clip(1.0 - x**2, 0.0, None))
@@ -424,11 +554,22 @@ def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
     u01 = (x * (qb * qa.conjugate() - qa * qb.conjugate())
            + iroot * (np.abs(qa) ** 2 - np.abs(qb) ** 2))
 
-    r = u00.real - target
+    return u00.real - target, (a, b, u00, u01)
+
+
+def _jacobian(a: np.ndarray, b: np.ndarray, u00: np.ndarray,
+              u01: np.ndarray) -> np.ndarray:
+    """The Jacobian of `_residual_pass`'s residual, from that pass's parts."""
     # Re(i z) = -Im z for each insertion, doubled for the mirrored angle
     ins = (a * b) * (2.0 * u01.conjugate())
     deriv = (np.abs(a) ** 2 - np.abs(b) ** 2) * u00.imag + ins.imag
-    return r, -2.0 * deriv.T
+    return -2.0 * deriv.T
+
+
+def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
+    """The node residual and its Jacobian w.r.t. the free angles, in one call."""
+    r, parts = _residual_pass(free, x, target)
+    return r, _jacobian(*parts)
 
 
 def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
@@ -440,7 +581,9 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
     when None), started from psi_0 = pi/4 with the other free angles 0.
     Below a node residual of 5e-3 each step is Newton's on
     arccos(Re u00) = arccos(p), which is regular at the peak node where
-    plain Newton converges linearly. Raises SolverError if a Newton step is
+    plain Newton converges linearly. |p| is read at poly.peak_at when
+    set (the grid's max otherwise); above 1 - 5e-9 the target is first
+    rescaled to peak at 1 - 1e-8. Raises SolverError if a Newton step is
     singular or non-finite, or if the node residual is still above 1e-8
     after the iteration budget. The result is verified at the order-d
     Chebyshev nodes to 1e-6 before returning; SolverError (with the
@@ -453,11 +596,13 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
 
 def _solve(poly: ChebPoly) -> PhaseFactors:
     d = poly.degree  # odd, as ChebPoly enforces
-    grid = np.linspace(-1.0, 1.0, 4001)
-    peak = float(np.max(np.abs(eval_cheb(poly, grid))))
     peak_at = poly.peak_at
     if peak_at is None:
+        grid = np.linspace(-1.0, 1.0, 4001)
+        peak = float(np.max(np.abs(eval_cheb(poly, grid))))
         _, peak_at = _series_max(poly.odd_coeffs, grid)
+    else:
+        peak = abs(eval_cheb(poly, peak_at))
     coeffs = poly.odd_coeffs
     if peak > 1.0 - _MARGIN / 2:
         # rescale below the solvability bound; the response then matches
@@ -477,10 +622,12 @@ def _solve(poly: ChebPoly) -> PhaseFactors:
     free = np.zeros(half)
     free[0] = np.pi / 4
     for iterations in range(_NEWTON_MAXITER + 1):
-        r, jac = _residual_and_jac(free, nodes, target)
+        r, parts = _residual_pass(free, nodes, target)
         res = float(np.max(np.abs(r)))
         if res <= _NEWTON_TOL or iterations == _NEWTON_MAXITER:
             break
+        jac = _jacobian(*parts)
+        del parts  # the prefixes, freed before the next pass allocates its own
         if res < _ARCCOS_BELOW:
             # the step on arccos(Re u00) = arccos(p): jac's rows scaled by
             # -1/sqrt(1 - R^2), which makes the fold R <= 1 at the peak

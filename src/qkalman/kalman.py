@@ -54,6 +54,7 @@ from .block_encoding import (
     pad_to_square,
 )
 from .errors import (
+    ApproximationError,
     ConfigError,
     DegenerateInputError,
     DimensionError,
@@ -374,6 +375,11 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
     gamma = be53p.alpha / m53.alpha
     kappa_measured = be53p.alpha / float(sig[-1])
     kappa_used = kappa_policy.resolve(kappa_measured)
+    if not kappa_used > 1:  # only a margin can land here: a fixed kappa exceeds 1
+        raise ApproximationError(
+            f"kappa_margin {kappa_policy.value:g} times the measured kappa "
+            f"{kappa_measured:.6g} is {kappa_used:.6g}; the inversion's kappa "
+            f"must exceed 1")
 
     poly = inverse_poly(kappa_used, eps_prime, degree_cap)
     phi = solve_phase_factors(poly)

@@ -8,7 +8,9 @@ import numpy as np
 from qkalman.block_encoding import BlockEncoding
 from qkalman.errors import DimensionError, ParityError
 from qkalman.inversion import (
+    _GRID_POINTS,
     ChebPoly,
+    _clenshaw_odd,
     _measured_error,
     _normalized,
     _odd_series_one_over_x,
@@ -249,7 +251,29 @@ def inverse_poly_at_degree(kappa: float, eps_prime: float, degree: int) -> ChebP
         raise ParityError(f"degree must be odd, got {degree}")
     b = smoothing_order(kappa, eps_prime)
     odd = _odd_series_one_over_x(b, (degree + 1) // 2)
-    return _normalized(odd, kappa, _measured_error(odd, kappa))
+    return _normalized(odd, b, kappa, _measured_error(odd, kappa, b))
+
+
+def full_grid_measured_error(odd_coeffs: np.ndarray, kappa: float) -> float:
+    """Reference `inversion._measured_error`: every point of the grid on [1/kappa, 1]."""
+    xs = np.linspace(1.0 / kappa, 1.0, _GRID_POINTS)
+    return float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs) - 1.0 / xs)))
+
+
+def full_grid_series_max(odd_coeffs: np.ndarray) -> tuple[float, float]:
+    """Reference `inversion._series_max`: every point of the [-1, 1] grid, then
+    the same 65-point refinement."""
+    xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    peak = where = 0.0
+    while True:
+        vals = np.abs(_clenshaw_odd(odd_coeffs, xs))
+        i = int(np.argmax(vals))
+        if vals[i] > peak:
+            peak, where = float(vals[i]), abs(float(xs[i]))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+        if hi - lo <= 1e-13:
+            return peak, where
+        xs = np.linspace(lo, hi, 65)
 
 
 def _complete_columns(cols: np.ndarray) -> np.ndarray:

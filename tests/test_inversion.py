@@ -6,6 +6,8 @@ import pytest
 import qkalman.inversion as inversion
 from helpers import (
     fraction_series_one_over_x,
+    full_grid_measured_error,
+    full_grid_series_max,
     inverse_poly_at_degree,
     materialize_block,
     philox,
@@ -130,6 +132,87 @@ def test_series_prefix_matches_fraction_reference(b):
     for count in (b // 2, b, b + 3):
         got = inversion._odd_series_one_over_x(b, count)
         np.testing.assert_array_equal(got, want[:count])
+
+
+def build_outcome(kappa, eps, cap):
+    """The build's ChebPoly, or the message of its ApproximationError."""
+    try:
+        return inversion._build_inverse_poly(kappa, eps, cap)
+    except ApproximationError as exc:
+        return str(exc)
+
+
+def full_grid_outcome(monkeypatch, kappa, eps, cap):
+    """`build_outcome` with both grid scans replaced by their full-grid references."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inversion, "_measured_error",
+                      lambda odd, kappa, b: full_grid_measured_error(odd, kappa))
+        patch.setattr(inversion, "_series_max",
+                      lambda odd, xs=None, b=None: full_grid_series_max(odd))
+        return build_outcome(kappa, eps, cap)
+
+
+def assert_same_build(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.odd_coeffs.tobytes() == want.odd_coeffs.tobytes()
+    assert (got.degree, got.kappa, got.scale, got.eps_prime, got.peak_at) == (
+        want.degree, want.kappa, want.scale, want.eps_prime, want.peak_at)
+
+
+def test_pruned_build_matches_the_full_grid_build(monkeypatch):
+    # the tail bound leaves only the grid points that can set the 1/x error
+    # or the peak, so every field comes out bit for bit as from scans of
+    # the whole grid; the peak scan never falls back to the whole grid
+    rng = philox(2400)
+    candidates = []
+    real = inversion._peak_candidates
+
+    def spy(*args):
+        at = real(*args)
+        candidates.append(at)
+        return at
+
+    for _ in range(200):
+        kappa = float(rng.uniform(1.2, 20.0))
+        eps = float(10.0 ** rng.uniform(-3.0, np.log10(0.3)))
+        want = full_grid_outcome(monkeypatch, kappa, eps, 501)
+        with monkeypatch.context() as patch:
+            patch.setattr(inversion, "_peak_candidates", spy)
+            got = build_outcome(kappa, eps, 501)
+        assert_same_build(got, want)
+    assert len(candidates) >= 190
+    assert all(at is not None and at.size < 1000 for at in candidates)
+
+
+@pytest.mark.parametrize("kappa,eps,start,cap,degree", [
+    (3.5, 1e-2, 21, 501, 33), (12.0, 1e-3, 101, 501, 199),
+    (20.0, 0.3, 31, 501, 173), (3.5, 1e-2, 21, 31, None)])
+def test_pruned_build_matches_after_degree_bumps(monkeypatch, kappa, eps, start,
+                                                 cap, degree):
+    # started below the sufficient cutoff, the build re-measures after each
+    # bump of two until eps' is met, or fails at the cap with the last
+    # measured error in the message; the pruned scans agree at every step
+    monkeypatch.setattr(inversion, "_start_degree", lambda b, eps: start)
+    got = build_outcome(kappa, eps, cap)
+    assert_same_build(got, full_grid_outcome(monkeypatch, kappa, eps, cap))
+    if degree is None:
+        assert got == f"tolerance {eps} unattained at degree cap {cap} (err 0.0166)"
+    else:
+        assert got.degree == degree
+
+
+@pytest.mark.parametrize("eps", [0.3, 1e-2, 1e-3])
+@pytest.mark.parametrize("kappa", [1.2, 2.0, 3.5, 8.0, 14.3, 20.0])
+def test_tail_bound_covers_the_dropped_coefficients(kappa, eps):
+    # tau covers the sum of |c_j| over every dropped j, plus the slack for
+    # rounding, for every count of kept terms
+    b = smoothing_order(kappa, eps)
+    dropped = np.cumsum(np.abs(inversion._odd_series_one_over_x(b))[::-1])[::-1]
+    bound = np.array([inversion._tail_bound(b, kept) for kept in range(b)])
+    assert np.all(bound >= dropped + inversion._TAIL_SLACK)
+    assert inversion._tail_bound(b, b) == inversion._TAIL_SLACK
 
 
 def test_truncation_error_decreases_with_degree():
@@ -424,13 +507,9 @@ def test_solver_raises_on_stall(monkeypatch):
 
 
 def test_solver_raises_on_singular_step(monkeypatch):
-    real = inversion._residual_and_jac
-
-    def singular(free, x, target):
-        r, jac = real(free, x, target)
-        return r, np.zeros_like(jac)
-
-    monkeypatch.setattr(inversion, "_residual_and_jac", singular)
+    real = inversion._jacobian
+    monkeypatch.setattr(inversion, "_jacobian",
+                        lambda *parts: np.zeros_like(real(*parts)))
     with pytest.raises(SolverError) as info:
         solve_phase_factors(small_target_poly(seed=44, degree=9))
     assert info.value.exit_code == 7

@@ -362,8 +362,12 @@ def test_scalar_innovation_needs_a_margin_above_one():
     traj, ledger = q_filter_run(model, init, us, zs, 1)
     assert ledger.qsvt_info[1]["kappa_measured"] == 1.0
     assert ledger.qsvt_info[1]["degree"] == 11
-    with pytest.raises(ApproximationError, match="exceed 1"):
+    # the error names the margin and the measured kappa, not a kappa key
+    want = ("kappa_margin 1 times the measured kappa 1 is 1; the inversion's "
+            "kappa must exceed 1")
+    with pytest.raises(ApproximationError, match="^" + re.escape(want) + "$") as info:
         q_filter_run(model, init, us, zs, 1, kappa_policy=KappaPolicy.margin(1.0))
+    assert info.value.exit_code == 8
 
 
 def test_filter_run_rejects_short_inputs():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -59,6 +60,9 @@ def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
             assert r["iterations"] <= 10  # the arccos finish at the peak node
             assert r["residual"] <= 1e-6
             assert 0 <= r["kernel_ms"] + r["solve_ms"] <= r["total_ms"]
+            assert r["build_ms"] > 0
+    assert report["summary"]["build_ms"] == pytest.approx(
+        sum(r["build_ms"] for r in rows if "error" not in r))
 
 
 def test_sampling_sweep_writes_a_row_per_point(tmp_path):
