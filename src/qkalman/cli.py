@@ -33,6 +33,7 @@ from .kalman import (
     FilterState,
     KalmanModel,
     KappaPolicy,
+    _check_cov,
     classical_step,
     q_filter_run,
 )
@@ -198,6 +199,7 @@ def parse_config(text: str) -> RunConfig:
         raise DimensionError(f"x0 has {config.x0.size} entries, A is {n}x{n}")
     if config.P0.shape != (n, n):
         raise DimensionError(f"P0 must be {n}x{n}, got {config.P0.shape}")
+    _check_cov("P0", config.P0)
     return config
 
 

@@ -35,7 +35,8 @@ grid prefix where that bound reaches the error at 1/kappa is evaluated.
 |series(x)| <= f(|x|) + tau with f unimodal on (0, 1]: the peak scan
 evaluates the one run of grid points on each sign, around f's peak,
 where that bound reaches the series' value beside the peak, then
-refines as before. Doubling searches in scalar `math` find both cuts.
+refines as before. Both cuts are found by walking outward one grid
+point at a time, with the bound in scalar `math`.
 
 Phases
 ------
@@ -258,39 +259,15 @@ def _tail_bound(b: int, kept: int) -> float:
     return 4.0 * tail + _TAIL_SLACK
 
 
-def _log_gap(x: float, b: int) -> float:
-    """log (1 - x^2)^b for 0 < x <= 1 (-inf at 1)."""
-    return b * math.log1p(-x * x) if x < 1.0 else -math.inf
+def _walk(keep, i: int, step: int, stop: int) -> int:
+    """First index from i, stepping by step toward stop, where keep fails;
+    stop when keep holds up to it."""
+    while i != stop and keep(i):
+        i += step
+    return i
 
 
-def _run_end(keep, start: int, stop: int) -> int:
-    """First index from start toward stop (exclusive) where keep fails.
-
-    Doubling steps, then a bisection, so O(log) calls of keep; stop when
-    no probe fails and start when keep fails there. Indices up to the
-    one returned may hold without being probed: callers keep them all,
-    and drop only those past it, where their bound is monotone.
-    """
-    if not keep(start):
-        return start
-    step = 1 if stop > start else -1
-    good, bad, jump = start, stop, 1
-    while (stop - (start + step * jump)) * step > 0:
-        probe = start + step * jump
-        if not keep(probe):
-            bad = probe
-            break
-        good, jump = probe, 2 * jump
-    while abs(bad - good) > 1:
-        mid = (good + bad) // 2
-        if keep(mid):
-            good = mid
-        else:
-            bad = mid
-    return bad
-
-
-def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int):
+def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int) -> np.ndarray:
     """Indices of xs (ascending) where |series| can reach its max over xs.
 
     odd_coeffs are the first terms of f's series for this b, and xs the
@@ -298,8 +275,8 @@ def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int):
     unimodal on (0, 1], so a point with f(|x|) + tau below the series'
     value m_lo at the grid points beside f's peak on both signs cannot
     hold the max; the points left on each sign form one run around the
-    peak, which `_run_end` bounds from the points beside it. None (scan
-    every point) when neither point beside the peak on a sign is kept.
+    peak, which `_walk` finds outward from the points beside it. Every
+    index when neither point beside the peak on a sign is kept.
     """
     tau = _tail_bound(b, odd_coeffs.size)
     top = min(1.0, math.sqrt(_PEAK_U / b))
@@ -310,47 +287,44 @@ def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int):
     beside = np.array([left - 1, left, right - 1, right])
     m_lo = float(np.max(np.abs(_clenshaw_odd(odd_coeffs, xs[beside]))))
 
-    def keep(i):
+    def keep(i):  # f(|x|) + tau >= m_lo
         x = abs(float(xs[i]))
-        return -math.expm1(_log_gap(x, b)) / x + tau >= m_lo
+        return (1.0 - (1.0 - x * x) ** b) / x + tau >= m_lo
 
     runs = []
     for lo, hi, lo_stop, hi_stop in ((left - 1, left, -1, neg_end),
                                      (right - 1, right, pos_start - 1, xs.size)):
         if not (keep(lo) or keep(hi)):
-            return None
-        runs.append(np.arange(_run_end(keep, lo, lo_stop) + 1,
-                              _run_end(keep, hi, hi_stop)))
+            return np.arange(xs.size)
+        runs.append(np.arange(_walk(keep, lo, -1, lo_stop) + 1,
+                              _walk(keep, hi, 1, hi_stop)))
     return np.concatenate(runs)
 
 
-def _series_max(odd_coeffs: np.ndarray, xs: np.ndarray | None = None,
-                b: int | None = None) -> tuple[float, float]:
+def _series_max(odd_coeffs: np.ndarray, b: int | None = None) -> tuple[float, float]:
     """(max |series| over [-1, 1], the |x| where it is taken).
 
-    A scan of xs (the measuring grid when None), then a local
-    refinement: the bracket around the best point is re-scanned with 65
-    points, each pass narrowing it 32-fold, until it is 1e-13 wide.
-    When odd_coeffs are a truncation of f's series for this b, the grid
-    scan visits only `_peak_candidates`; the first best point, and so
-    the bracket and the result, are the full scan's.
+    A scan of the measuring grid, then a local refinement: the bracket
+    around the best point is re-scanned with 65 points, each pass
+    narrowing it 32-fold, until it is 1e-13 wide. When odd_coeffs are a
+    truncation of f's series for this b, the grid scan visits only
+    `_peak_candidates`; the first best point, and so the bracket and the
+    result, are the full scan's.
     """
-    if xs is None:
-        xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    at = None if b is None else _peak_candidates(odd_coeffs, xs, b)
+    xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    at = np.arange(xs.size) if b is None else _peak_candidates(odd_coeffs, xs, b)
     peak = where = 0.0
     while True:
-        pts = xs if at is None else xs[at]
-        vals = np.abs(_clenshaw_odd(odd_coeffs, pts))
-        i = int(np.argmax(vals))
-        if vals[i] > peak:
-            peak, where = float(vals[i]), abs(float(pts[i]))
-        if at is not None:
-            i, at = int(at[i]), None
+        vals = np.abs(_clenshaw_odd(odd_coeffs, xs[at]))
+        k = int(np.argmax(vals))
+        i = int(at[k])
+        if vals[k] > peak:
+            peak, where = float(vals[k]), abs(float(xs[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
         if hi - lo <= 1e-13:
             return peak, where
         xs = np.linspace(lo, hi, 65)
+        at = np.arange(xs.size)
 
 
 def _measured_error(odd_coeffs: np.ndarray, kappa: float, b: int) -> float:
@@ -369,11 +343,11 @@ def _measured_error(odd_coeffs: np.ndarray, kappa: float, b: int) -> float:
 
     e0 = float(errors(xs[:1])[0])
 
-    def keep(i):
+    def keep(i):  # (1 - x^2)^b / x + tau >= e0
         x = float(xs[i])
-        return math.exp(_log_gap(x, b)) / x + tau >= e0
+        return (1.0 - x * x) ** b / x + tau >= e0
 
-    end = _run_end(keep, 1, xs.size)
+    end = _walk(keep, 1, 1, xs.size)
     return max(e0, float(np.max(errors(xs[1:end])))) if end > 1 else e0
 
 
@@ -566,29 +540,22 @@ def _jacobian(a: np.ndarray, b: np.ndarray, u00: np.ndarray,
     return -2.0 * deriv.T
 
 
-def _residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
-    """The node residual and its Jacobian w.r.t. the free angles, in one call."""
-    r, parts = _residual_pass(free, x, target)
-    return r, _jacobian(*parts)
-
-
 def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
     """Symmetric W_x phases whose response real part matches poly.
 
     Newton's method on the square system of (d+1)/2 free angles against
     the (d+1)/2 positive Chebyshev nodes, the one nearest the peak
-    moved onto poly.peak_at (located from a 4001-point grid and refined
-    when None), started from psi_0 = pi/4 with the other free angles 0.
-    Below a node residual of 5e-3 each step is Newton's on
-    arccos(Re u00) = arccos(p), which is regular at the peak node where
-    plain Newton converges linearly. |p| is read at poly.peak_at when
-    set (the grid's max otherwise); above 1 - 5e-9 the target is first
-    rescaled to peak at 1 - 1e-8. Raises SolverError if a Newton step is
-    singular or non-finite, or if the node residual is still above 1e-8
-    after the iteration budget. The result is verified at the order-d
-    Chebyshev nodes to 1e-6 before returning; SolverError (with the
-    final residual) otherwise. Cached on the polynomial's degree and
-    coefficients (rounded to 14 decimals).
+    moved onto poly.peak_at (located by `_series_max` when None),
+    started from psi_0 = pi/4 with the other free angles 0. Below a node
+    residual of 5e-3 each step is Newton's on arccos(Re u00) = arccos(p),
+    which is regular at the peak node where plain Newton converges
+    linearly. |p| is read at that peak; above 1 - 5e-9 the target is
+    first rescaled to peak at 1 - 1e-8. Raises SolverError if a Newton
+    step is singular or non-finite, or if the node residual is still
+    above 1e-8 after the iteration budget. The result is verified at
+    the order-d Chebyshev nodes to 1e-6 before returning; SolverError
+    (with the final residual) otherwise. Cached on the polynomial's
+    degree and coefficients (rounded to 14 decimals).
     """
     key = ("phases", poly.degree, poly.odd_coeffs.round(14).tobytes())
     return _cached(key, lambda: _solve(poly))
@@ -598,11 +565,8 @@ def _solve(poly: ChebPoly) -> PhaseFactors:
     d = poly.degree  # odd, as ChebPoly enforces
     peak_at = poly.peak_at
     if peak_at is None:
-        grid = np.linspace(-1.0, 1.0, 4001)
-        peak = float(np.max(np.abs(eval_cheb(poly, grid))))
-        _, peak_at = _series_max(poly.odd_coeffs, grid)
-    else:
-        peak = abs(eval_cheb(poly, peak_at))
+        _, peak_at = _series_max(poly.odd_coeffs)
+    peak = abs(eval_cheb(poly, peak_at))
     coeffs = poly.odd_coeffs
     if peak > 1.0 - _MARGIN / 2:
         # rescale below the solvability bound; the response then matches

@@ -123,9 +123,10 @@ def stacked_insertions(psis: np.ndarray, x: np.ndarray):
 def stacked_residual_and_jac(free: np.ndarray, x: np.ndarray, target: np.ndarray):
     """Reference phase-solver residual and Jacobian from stacked 2x2 products.
 
-    The straightforward form of `inversion._residual_and_jac`: each free
-    angle's column sums the `stacked_insertions` at k = m and k = d - m,
-    with no use of the palindrome identity.
+    The straightforward form of `inversion._residual_pass` followed by
+    `inversion._jacobian`: each free angle's column sums the
+    `stacked_insertions` at k = m and k = d - m, with no use of the
+    palindrome identity.
     """
     psis = np.concatenate([free, free[::-1]])
     d = psis.size - 1

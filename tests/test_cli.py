@@ -333,6 +333,19 @@ def test_run_command_dimension_exit_code(tmp_path):
     assert main(["run", str(config_path)]) == 3
 
 
+@pytest.mark.parametrize("mat, fault", [
+    ([[1.0, 3.0], [0.0, -2.0]], "symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite"),  # eigenvalues 3, -1
+], ids=["asymmetric", "indefinite"])
+@pytest.mark.parametrize("field", ["Q", "R", "P0"])
+def test_run_refuses_a_covariance_that_is_not_symmetric_psd(field, mat, fault,
+                                                            tmp_path, capsys):
+    config_path = tmp_path / "cov.yaml"
+    config_path.write_text(mini_config(steps=1, **{field: mat}))
+    assert main(["run", str(config_path)]) == 3
+    assert capsys.readouterr().err == f"error: {field} must be {fault}\n"
+
+
 # ---------------------------------------------------------------------------
 # the other subcommands
 # ---------------------------------------------------------------------------

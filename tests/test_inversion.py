@@ -148,7 +148,7 @@ def full_grid_outcome(monkeypatch, kappa, eps, cap):
         patch.setattr(inversion, "_measured_error",
                       lambda odd, kappa, b: full_grid_measured_error(odd, kappa))
         patch.setattr(inversion, "_series_max",
-                      lambda odd, xs=None, b=None: full_grid_series_max(odd))
+                      lambda odd, b=None: full_grid_series_max(odd))
         return build_outcome(kappa, eps, cap)
 
 
@@ -183,7 +183,7 @@ def test_pruned_build_matches_the_full_grid_build(monkeypatch):
             got = build_outcome(kappa, eps, 501)
         assert_same_build(got, want)
     assert len(candidates) >= 190
-    assert all(at is not None and at.size < 1000 for at in candidates)
+    assert all(at.size < 1000 for at in candidates)
 
 
 @pytest.mark.parametrize("kappa,eps,start,cap,degree", [
@@ -201,6 +201,46 @@ def test_pruned_build_matches_after_degree_bumps(monkeypatch, kappa, eps, start,
         assert got == f"tolerance {eps} unattained at degree cap {cap} (err 0.0166)"
     else:
         assert got.degree == degree
+
+
+@pytest.mark.parametrize("eps", [0.3, 1e-2, 1e-3])
+@pytest.mark.parametrize("kappa", [1.2, 2.0, 3.5, 8.0, 14.3, 20.0])
+def test_walks_cut_only_where_the_bound_is_below_the_threshold(monkeypatch,
+                                                                kappa, eps):
+    # the outward walks drop a grid point only where the tail bound,
+    # evaluated over the whole grid at once, is under the walk's threshold;
+    # a walk that stopped one point early would leave one at or above it
+    b = smoothing_order(kappa, eps)
+    start = inversion._start_degree(b, eps)
+    for degree in {start, max(1, start // 2) | 1}:  # a short series has a wide tau
+        odd = inversion._odd_series_one_over_x(b, (degree + 1) // 2)
+        tau = inversion._tail_bound(b, odd.size)
+
+        xs = np.linspace(-1.0, 1.0, inversion._GRID_POINTS)
+        at = inversion._peak_candidates(odd, xs, b)
+        top = min(1.0, np.sqrt(inversion._PEAK_U / b))
+        zero = int(np.flatnonzero(xs == 0.0)[0])
+        right = max(int(np.searchsorted(xs, top, "left")), zero + 1)
+        left = min(int(np.searchsorted(xs, -top, "right")), zero - 1)
+        beside = np.array([left - 1, left, right - 1, right])
+        m_lo = np.max(np.abs(inversion._clenshaw_odd(odd, xs[beside])))
+        out = np.ones(xs.size, dtype=bool)
+        out[at] = False
+        out[zero] = False  # every odd series vanishes at 0
+        ax = np.abs(xs[out])
+        assert np.all((1.0 - (1.0 - ax * ax) ** b) / ax + tau < m_lo)
+
+        heads = []
+        real = inversion._clenshaw_odd
+        with monkeypatch.context() as patch:
+            patch.setattr(inversion, "_clenshaw_odd",
+                          lambda c, x: heads.append(x.size) or real(c, x))
+            inversion._measured_error(odd, kappa, b)
+        end = 1 + sum(heads[1:])  # xs[:1], then the prefix xs[1:end] if any
+        xs = np.linspace(1.0 / kappa, 1.0, inversion._GRID_POINTS)
+        e0 = abs(float(real(odd, xs[:1])[0]) - 1.0 / xs[0])
+        past = xs[end:]
+        assert np.all((1.0 - past * past) ** b / past + tau < e0)
 
 
 @pytest.mark.parametrize("eps", [0.3, 1e-2, 1e-3])
@@ -341,10 +381,10 @@ def plain_newton_angles(poly):
     free = np.zeros(half)
     free[0] = np.pi / 4
     for _ in range(inversion._NEWTON_MAXITER):
-        r, jac = inversion._residual_and_jac(free, nodes, target)
+        r, parts = inversion._residual_pass(free, nodes, target)
         if np.max(np.abs(r)) <= inversion._NEWTON_TOL:
             break
-        free = free - np.linalg.solve(jac, r)
+        free = free - np.linalg.solve(inversion._jacobian(*parts), r)
     assert np.max(np.abs(r)) <= 1e-8
     return np.concatenate([free, free[::-1]])
 
@@ -387,7 +427,7 @@ def test_solver_solves_random_odd_polynomials():
 
 
 def test_solver_locates_a_missing_peak():
-    # without peak_at the solver refines the peak from its guard grid and
+    # without peak_at the solver locates the peak with `_series_max` and
     # lands on the same angles as with the location inverse_poly records
     poly = inverse_poly(8.25, 1e-2)
     # the top is flat to rounding over about 1e-9, so the refinement of the
@@ -420,7 +460,8 @@ def test_residual_and_jac_match_stacked_products(degree):
     free = rng.uniform(-np.pi, np.pi, half)
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))
     target = rng.uniform(-1, 1, half)
-    r, jac = inversion._residual_and_jac(free, nodes, target)
+    r, parts = inversion._residual_pass(free, nodes, target)
+    jac = inversion._jacobian(*parts)
     r_ref, jac_ref = stacked_residual_and_jac(free, nodes, target)
     assert jac.shape == (half, half)
     np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-12)
@@ -429,8 +470,8 @@ def test_residual_and_jac_match_stacked_products(degree):
     for m in {0, half - 1}:
         step = np.zeros(half)
         step[m] = h
-        up, _ = inversion._residual_and_jac(free + step, nodes, target)
-        down, _ = inversion._residual_and_jac(free - step, nodes, target)
+        up, _ = inversion._residual_pass(free + step, nodes, target)
+        down, _ = inversion._residual_pass(free - step, nodes, target)
         np.testing.assert_allclose(jac[:, m], (up - down) / (2 * h),
                                    rtol=0, atol=1e-6)
 
