@@ -15,7 +15,7 @@ keeps the largest of those worst repeats.
 The inner timings come from wrappers this script installs around
 `inversion._residual_pass`, `inversion._jacobian` (together the kernel)
 and `np.linalg.solve`; the package is not changed. A point whose
-polynomial needs more than the default degree cap gets an `error` row
+polynomial needs more than `inversion.DEGREE_CAP` gets an `error` row
 instead. `OPENBLAS_NUM_THREADS` is recorded as found:
 set it on the command line to compare thread counts, e.g.
 

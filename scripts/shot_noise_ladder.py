@@ -29,7 +29,7 @@ def main() -> int:
         trajectory, _ = q_filter_run(
             config.model, config.init, config.controls, config.measurements, 1,
             readout_mode, kappa_policy=config.kappa_policy,
-            eps_prime=config.eps_prime, degree_cap=config.degree_cap, **sampling)
+            eps_prime=config.eps_prime, **sampling)
         return trajectory[-1].x_hat
 
     exact = final_x_hat("exact")

@@ -23,6 +23,7 @@ pinned by golden tests on a non-symmetric matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,11 @@ class BlockEncoding:
     @property
     def nqubits(self):
         return self.ancillas + self.system_qubits
+
+
+def register_qubits(*dims: int) -> int:
+    """System qubits s = max(1, ceil(log2 max(dims))) of the register holding dims."""
+    return max(1, math.ceil(math.log2(max(dims))))
 
 
 def pad_to_square(m, s: int) -> np.ndarray:

@@ -21,7 +21,12 @@ from functools import partial
 import numpy as np
 import yaml
 
-from .block_encoding import decode, encode_data_structure, pad_to_square
+from .block_encoding import (
+    decode,
+    encode_data_structure,
+    pad_to_square,
+    register_qubits,
+)
 from .errors import ConfigError, DimensionError, QkError
 from .inversion import (
     be_invert,
@@ -64,7 +69,6 @@ class RunConfig:
     seed: int = 0
     kappa_margin: float = 1.1
     eps_prime: float = 0.01
-    degree_cap: int = 501
     kappa: float | None = None
 
     def __eq__(self, other):
@@ -154,7 +158,6 @@ _CHECKS = {  # key -> check(value, key), returning the parsed value
     "kappa_margin": partial(_as_float, ok=lambda v: v >= 1, rule="must be >= 1"),
     "eps_prime": partial(_as_float, ok=lambda v: 0 < v < 1,
                          rule="must lie in (0,1)"),
-    "degree_cap": partial(_as_int, minimum=1),
     "kappa": lambda value, path: None if value is None else _as_float(
         value, path, ok=lambda v: v > 1, rule="must exceed 1"),
 }
@@ -164,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
     """Validate a YAML config document into a RunConfig.
 
     Unknown keys are rejected with their location; every error message
-    names the offending field. Without a `seed` key, QKALMAN_SEED is used.
+    names the offending field. Without a `seed` key the seed is 0.
     """
     try:
         doc = yaml.safe_load(text)
@@ -182,17 +185,8 @@ def parse_config(text: str) -> RunConfig:
         if f.default is MISSING and f.name not in doc:
             raise ConfigError(f"missing required key {f.name!r}")
 
-    kwargs = {key: _CHECKS[key](doc[key], key) for key in keys if key in doc}
-    env = os.environ.get("QKALMAN_SEED")
-    if "seed" not in doc and env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"QKALMAN_SEED: expected an integer, got {env!r}") from None
-        kwargs["seed"] = _as_int(seed, "QKALMAN_SEED", minimum=0)
-
-    config = RunConfig(**kwargs)
+    config = RunConfig(**{key: _CHECKS[key](doc[key], key)
+                          for key in keys if key in doc})
     model = config.model  # dimension validation with field-named errors
     n = model.state_dim
     if config.x0.size != n:
@@ -238,7 +232,7 @@ def run_report(config: RunConfig) -> dict:
         model, init, config.controls, config.measurements, config.steps,
         config.readout_mode, shots=config.shots, iterations=config.iterations,
         seed=config.seed, kappa_policy=config.kappa_policy,
-        eps_prime=config.eps_prime, degree_cap=config.degree_cap)
+        eps_prime=config.eps_prime)
 
     classical = [init]
     for j in range(config.steps):
@@ -330,7 +324,7 @@ def _load_matrix_file(path: str, paired_complex: bool) -> np.ndarray:
 
 
 def _encode_padded(mat: np.ndarray):
-    s = max(1, math.ceil(math.log2(max(mat.shape))))
+    s = register_qubits(*mat.shape)
     return encode_data_structure(pad_to_square(mat, s), shape=mat.shape)
 
 
@@ -378,7 +372,7 @@ def _cmd_invert(args) -> int:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"inversion needs a square matrix, got {mat.shape}")
     be = _encode_padded(mat)
-    poly = inverse_poly(args.kappa, args.eps, args.degree_cap)
+    poly = inverse_poly(args.kappa, args.eps)
     phi = solve_phase_factors(poly)
     inv = be_invert(be, poly, phi)
     block = decode(inv)
@@ -401,14 +395,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    poly = inverse_poly(args.kappa, args.eps, args.degree_cap)
+    poly = inverse_poly(args.kappa, args.eps)
     phi = solve_phase_factors(poly)
-    text = format_angles(phi)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(format_angles(phi))
     sys.stderr.write(
         f"degree {poly.degree}  scale {poly.scale:.8f}  "
         f"residual {phi.residual:.3g}\n")
@@ -436,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("matrix", help="CSV matrix path")
     p_inv.add_argument("--kappa", type=float, required=True)
     p_inv.add_argument("--eps", type=float, required=True)
-    p_inv.add_argument("--degree-cap", type=int, default=501)
     p_inv.add_argument("--complex", action="store_true",
                        help="treat columns as re,im pairs")
     p_inv.set_defaults(fn=_cmd_invert)
@@ -444,8 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ang = sub.add_parser("angles", help="emit inversion phase factors")
     p_ang.add_argument("--kappa", type=float, required=True)
     p_ang.add_argument("--eps", type=float, required=True)
-    p_ang.add_argument("--degree-cap", type=int, default=501)
-    p_ang.add_argument("--out", help="write angles here instead of stdout")
     p_ang.set_defaults(fn=_cmd_angles)
     return parser
 

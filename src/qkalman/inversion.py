@@ -132,6 +132,7 @@ from .tensor_ops import (
 
 _GRID_POINTS = 20001  # points of the measuring grid: the peak scan and the 1/x error
 _MARGIN = 1e-8  # |p| <= 1 - _MARGIN on the measuring grid
+DEGREE_CAP = 501  # highest degree `inverse_poly` builds
 # added to the tail bound for rounding: over 500x Clenshaw's, about
 # d^2 2^-53 sum |c_j| <= 2e-9 at the degree cap
 _TAIL_SLACK = 1e-6
@@ -213,12 +214,17 @@ def _clenshaw_odd(odd_coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x * ((y2 - 1.0) * b1 - b2 + odd_coeffs[0])
 
 
-def eval_cheb(poly: ChebPoly, x):
-    """Clenshaw evaluation of sum c_k T_k(x) for |x| <= 1."""
-    arr = np.asarray(x, dtype=float)
+def _check_unit_interval(arr: np.ndarray) -> None:
+    """Raise SigmaRangeError at the entry farthest outside [-1, 1] (1e-12 slack)."""
     if np.any(np.abs(arr) > 1 + 1e-12):
         bad = float(arr.flat[int(np.argmax(np.abs(arr)))])
         raise SigmaRangeError(bad, -1.0, 1.0)
+
+
+def eval_cheb(poly: ChebPoly, x):
+    """Clenshaw evaluation of sum c_k T_k(x) for |x| <= 1."""
+    arr = np.asarray(x, dtype=float)
+    _check_unit_interval(arr)
     out = _clenshaw_odd(poly.odd_coeffs, arr)
     return out if out.shape else float(out)
 
@@ -370,17 +376,17 @@ def _normalized(odd: np.ndarray, b: int, kappa: float, err: float) -> ChebPoly:
                     where)
 
 
-def inverse_poly(kappa: float, eps_prime: float, degree_cap: int = 501) -> ChebPoly:
+def inverse_poly(kappa: float, eps_prime: float) -> ChebPoly:
     """Odd polynomial with scale*p(x) ~= 1/x to eps' on [1/kappa, 1].
 
     Degree comes from the sufficient truncation bound; the achieved
     (unscaled) error is re-measured on a dense grid and the degree is
     bumped in steps of two if the measurement misses eps', failing with
-    an approximation error at the degree cap (or at a kappa that is not
+    an approximation error past `DEGREE_CAP` (or at a kappa that is not
     finite or overflows the smoothing order). Cached on the arguments.
     """
-    return _cached(("inverse_poly", kappa, eps_prime, degree_cap),
-                   lambda: _build_inverse_poly(kappa, eps_prime, degree_cap))
+    return _cached(("inverse_poly", kappa, eps_prime),
+                   lambda: _build_inverse_poly(kappa, eps_prime, DEGREE_CAP))
 
 
 def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> ChebPoly:
@@ -466,9 +472,7 @@ def _response_batch(angles: np.ndarray, x: np.ndarray) -> np.ndarray:
 def qsp_response(phi: PhaseFactors, x):
     """Scalar response of the signal-processing circuit at x in [-1, 1]."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) > 1 + 1e-12):
-        bad = float(arr.flat[int(np.argmax(np.abs(arr)))])
-        raise SigmaRangeError(bad, -1.0, 1.0)
+    _check_unit_interval(arr)
     out = _response_batch(phi.angles, arr)
     return out if np.ndim(x) else complex(out[0])
 

@@ -52,6 +52,7 @@ from .block_encoding import (
     encode_data_structure,
     encode_zero,
     pad_to_square,
+    register_qubits,
 )
 from .errors import (
     ApproximationError,
@@ -349,7 +350,7 @@ def q_predict_cov(ledger: NormLedger, be_a: BlockEncoding, be_p: BlockEncoding,
 
 def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
            be_r: BlockEncoding, kappa_policy: KappaPolicy, eps_prime: float,
-           degree_cap: int = 501, step: int = 0) -> BlockEncoding:
+           step: int = 0) -> BlockEncoding:
     """Kalman gain K = P- H^T (H P- H^T + R)^{-1}.
 
     The innovation covariance is measured (exact simulator readout),
@@ -381,7 +382,7 @@ def q_gain(ledger: NormLedger, be_p_minus: BlockEncoding, be_h: BlockEncoding,
             f"{kappa_measured:.6g} is {kappa_used:.6g}; the inversion's kappa "
             f"must exceed 1")
 
-    poly = inverse_poly(kappa_used, eps_prime, degree_cap)
+    poly = inverse_poly(kappa_used, eps_prime)
     phi = solve_phase_factors(poly)
     be54 = be_invert(be53p, poly, phi)
     ledger.record("alpha_54", be54, step)
@@ -435,7 +436,7 @@ def q_update_cov(ledger: NormLedger, be_p_minus: BlockEncoding,
 
 def q_step(ledger: NormLedger, model_be, be_x: BlockEncoding,
            be_p: BlockEncoding, be_u: BlockEncoding, be_z: BlockEncoding,
-           kappa_policy: KappaPolicy, eps_prime: float, degree_cap: int = 501,
+           kappa_policy: KappaPolicy, eps_prime: float,
            step: int = 0) -> tuple[BlockEncoding, BlockEncoding]:
     """One filter step on encodings: the five stages, nothing read out.
 
@@ -446,7 +447,7 @@ def q_step(ledger: NormLedger, model_be, be_x: BlockEncoding,
     x_minus = q_predict_state(ledger, be_a, be_x, model_be["B"], be_u, step=step)
     p_minus = q_predict_cov(ledger, be_a, be_p, model_be["Q"], step=step)
     k_be = q_gain(ledger, p_minus, be_h, model_be["R"], kappa_policy, eps_prime,
-                  degree_cap=degree_cap, step=step)
+                  step=step)
     x_hat_be = q_update_state(ledger, x_minus, k_be, be_h, be_z, step=step)
     p_hat_be = q_update_cov(ledger, p_minus, k_be, be_h, step=step)
     ledger.op_info[step] = {
@@ -461,7 +462,7 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
                  measurements, steps: int, readout_mode: str = "exact", *,
                  shots: int = 16384, iterations: int = 100, seed: int = 0,
                  kappa_policy: KappaPolicy | None = None,
-                 eps_prime: float = 0.01, degree_cap: int = 501):
+                 eps_prime: float = 0.01):
     """Run the block-encoded filter for `steps` iterations.
 
     Returns (trajectory, ledger); trajectory[0] is the initial state.
@@ -483,7 +484,7 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
     n, c, m = model.state_dim, model.control_dim, model.obs_dim
     if init.x_hat.size != n:
         raise DimensionError("initial state dimension does not match the model")
-    s = max(1, math.ceil(math.log2(max(n, c, m))))
+    s = register_qubits(n, c, m)
     if steps > 0 and (len(controls) < steps or len(measurements) < steps):
         raise DimensionError(
             f"need at least {steps} controls and measurements, "
@@ -501,7 +502,7 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
         x_hat_be, p_hat_be = q_step(
             ledger, model_be, encode_vector(state.x_hat, s),
             encode_matrix(state.P, s), encode_vector(u, s), encode_vector(z, s),
-            kappa_policy, eps_prime, degree_cap, step)
+            kappa_policy, eps_prime, step)
         x_new, x_meta = read_out(x_hat_be, "state readout", (
             shots, iterations, [(seed, step, 0)]) if sampled else None)
         if sampled and all(x_meta[0]["zero_count"]):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qkalman import cli, errors
+from qkalman import cli, errors, inversion
 from qkalman.cli import (
     RunConfig,
     emit_config,
@@ -103,15 +103,14 @@ def test_parse_rejects_bad_documents(monkeypatch):
         (mini_config(x0=[True, 1.0]), "x0: entries must be numbers, not booleans"),
         (mini_config(controls=[[True]]),
          "controls[0]: entries must be numbers, not booleans"),
+        (mini_config(degree_cap=501), "unknown key 'degree_cap' at top level"),
     ]:
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_config(doc)
     with pytest.raises(DimensionError, match=r"^P0 must be 2x2, got \(1, 1\)$"):
         parse_config(mini_config(P0=[[1.0]]))
-    monkeypatch.setenv("QKALMAN_SEED", "x")
-    with pytest.raises(ConfigError,
-                       match="^QKALMAN_SEED: expected an integer, got 'x'$"):
-        parse_config(mini_config())
+    monkeypatch.setenv("QKALMAN_SEED", "99")  # the environment sets no seed
+    assert parse_config(mini_config()).seed == 0
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
@@ -125,17 +124,25 @@ def test_non_finite_number_is_a_config_error(field, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
 
 
-@pytest.mark.parametrize("kappa", ["inf", "1e200"])
-def test_angles_with_non_finite_or_huge_kappa_exits_8(kappa, capsys):
-    assert main(["angles", "--kappa", kappa, "--eps", "0.01"]) == 8
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize("kappa, eps, message", [
+    ("inf", "0.01", "kappa must be finite and exceed 1, got inf"),
+    ("1e200", "0.01", "smoothing order overflows at kappa 1e+200, eps' 0.01"),
+    ("20", "1e-3", "required degree 515 exceeds the cap 501"),
+], ids=["inf", "1e200", "degree-cap"])
+def test_angles_with_non_finite_or_huge_kappa_exits_8(kappa, eps, message, capsys):
+    assert main(["angles", "--kappa", kappa, "--eps", eps]) == 8
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("overrides, code", [
     ({"kappa": 1.5}, 6),  # be_invert's window [1/1.5, 1] refuses sigma 0.29
-    ({"kappa": 1.5, "degree_cap": 3}, 8),  # the polynomial fails first
+    ({"kappa": 1.5}, 8),  # at a degree cap of 3 the polynomial fails first
 ])
-def test_fixed_kappa_window_failure_exit_codes(overrides, code, tmp_path):
+def test_fixed_kappa_window_failure_exit_codes(overrides, code, tmp_path,
+                                               monkeypatch):
+    if code == 8:
+        monkeypatch.setattr(inversion, "DEGREE_CAP", 3)
+        inversion.clear_cache()  # drop the kappa 1.5 polynomial built before
     with open(CONFIG_PATH) as fh:
         doc = yaml.safe_load(fh)
     doc.update(overrides)
@@ -151,24 +158,15 @@ def test_parse_rejects_mismatched_shapes():
         parse_config(mini_config(x0=[1.0, 2.0, 3.0]))
 
 
-def test_seed_falls_back_to_environment(monkeypatch):
-    monkeypatch.setenv("QKALMAN_SEED", "99")
-    config = parse_config(mini_config())
-    assert config.seed == 99
-    monkeypatch.delenv("QKALMAN_SEED")
+def test_seed_comes_from_the_config_alone():
     assert parse_config(mini_config()).seed == 0
-    config = parse_config(mini_config(seed=7))
-    assert config.seed == 7
+    assert parse_config(mini_config(seed=7)).seed == 7
 
 
-@pytest.mark.parametrize("field", ["seed", "QKALMAN_SEED"])
-def test_negative_seed_is_a_config_error(field, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("field", ["seed"])
+def test_negative_seed_is_a_config_error(field, tmp_path, capsys):
     # a sampled run must stop at the config, not at its first draw
-    doc = dict(steps=1, kappa=3.5, readout_mode="sampled")
-    if field == "seed":
-        doc["seed"] = -5
-    else:
-        monkeypatch.setenv("QKALMAN_SEED", "-3")
+    doc = {"steps": 1, "kappa": 3.5, "readout_mode": "sampled", field: -5}
     config_path = tmp_path / "neg.yaml"
     config_path.write_text(mini_config(**doc))
     assert main(["run", str(config_path)]) == 2
@@ -192,7 +190,7 @@ def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
 def test_report_config_is_the_emitted_yaml():
     keys = ["A", "B", "H", "Q", "R", "x0", "P0", "controls", "measurements",
             "steps", "readout_mode", "shots", "iterations", "seed",
-            "kappa_margin", "eps_prime", "degree_cap"]
+            "kappa_margin", "eps_prime"]
     for config, last in ((parse_config(mini_config()), []),
                          (parse_config(mini_config(kappa=3.5)), ["kappa"])):
         doc = yaml.safe_load(emit_config(config))
@@ -422,20 +420,13 @@ def test_invert_command(tmp_path, capsys):
     assert out["eps"] >= abs(got[0, 0] - 1 / 13)
 
 
-def test_angles_command(tmp_path, capsys):
-    out_path = tmp_path / "angles.txt"
-    code = main(["angles", "--kappa", "3.5", "--eps", "0.01",
-                 "--out", str(out_path)])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "degree 57" in err
-    values = [float(line) for line in out_path.read_text().strip().splitlines()]
-    assert len(values) == 58
-    assert all(np.isfinite(values))
-    # without --out the angles go to stdout, the metadata still to stderr
+def test_angles_command(capsys):
+    # the angles go to stdout, one per line, and the metadata to stderr
     assert main(["angles", "--kappa", "3.5", "--eps", "0.01"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == out_path.read_text()
+    values = [float(line) for line in captured.out.strip().splitlines()]
+    assert len(values) == 58
+    assert all(np.isfinite(values))
     assert "degree 57" in captured.err
 
 

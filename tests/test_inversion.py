@@ -81,8 +81,9 @@ def test_inverse_poly_rejects_bad_parameters():
         inverse_poly(0.9, 0.01)
     with pytest.raises(ApproximationError):
         inverse_poly(3.5, 1.5)
-    with pytest.raises(ApproximationError):
-        inverse_poly(30.0, 1e-4, degree_cap=51)
+    with pytest.raises(ApproximationError,
+                       match="^required degree 953 exceeds the cap 501$"):
+        inverse_poly(30.0, 1e-4)
 
 
 @pytest.mark.parametrize("kappa", [np.inf, np.nan, 1e200, 1e152])
