@@ -30,15 +30,15 @@ compare thread counts, e.g.
 import argparse
 import json
 import multiprocessing
-import os
 import pathlib
-import platform
 import resource
 import statistics
 import sys
 import time
 
 import numpy as np
+
+from bench_env import environment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -58,7 +58,6 @@ SYSTEM_QUBITS = (1, 2, 3, 4, 5)
 STEP_STATES = (16, 32)
 REPEATS = 21
 SEED = 61
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def rand_orthogonal(rng, n: int) -> np.ndarray:
@@ -127,13 +126,7 @@ def main() -> int:
     encodings = [encoding_row(s) for s in SYSTEM_QUBITS]
     steps = [fresh_process_step(n) for n in STEP_STATES]
     report = {
-        "environment": {
-            **{var: os.environ.get(var) for var in BLAS_VARS},
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
         "repeats": REPEATS,
         "encodings": encodings,
         "steps": steps,

@@ -16,22 +16,22 @@ The inner timings come from wrappers this script installs around
 `inversion._residual_pass`, `inversion._jacobian` (together the kernel)
 and `np.linalg.solve`; the package is not changed. A point whose
 polynomial needs more than `inversion.DEGREE_CAP` gets an `error` row
-instead. `OPENBLAS_NUM_THREADS` is recorded as found:
-set it on the command line to compare thread counts, e.g.
+instead. The BLAS thread variables are recorded as found: set them on
+the command line to compare thread counts, e.g.
 
     OPENBLAS_NUM_THREADS=1 python scripts/phase_solver_sweep.py --out t1.json
 """
 
 import argparse
 import json
-import os
 import pathlib
-import platform
 import statistics
 import sys
 import time
 
 import numpy as np
+
+from bench_env import environment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -126,13 +126,7 @@ def main() -> int:
               for key in ("build_ms", "total_ms", "kernel_ms", "solve_ms",
                           "other_ms")}
     report = {
-        "environment": {
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
         "repeats": REPEATS,
         "summary": {
             **totals,

@@ -22,14 +22,14 @@ deviations. The script exits 1 if one does not.
 
 import argparse
 import json
-import os
 import pathlib
-import platform
 import statistics
 import sys
 import time
 
 import numpy as np
+
+from bench_env import environment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -95,12 +95,7 @@ def main() -> int:
 
     rows = sweep()
     report = {
-        "environment": {
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
         "shots": SHOTS,
         "entropy": list(ENTROPY),
         "repeats": REPEATS,

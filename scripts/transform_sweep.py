@@ -26,14 +26,14 @@ set them on the command line to compare thread counts, e.g.
 
 import argparse
 import json
-import os
 import pathlib
-import platform
 import statistics
 import sys
 import time
 
 import numpy as np
+
+from bench_env import environment
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -52,7 +52,6 @@ KAPPAS = (3.0, 6.0, 12.0)
 EPS_PRIME = 0.01
 REPEATS = 5
 SEED = 2024
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def tree_route(be, phi):
@@ -100,13 +99,7 @@ def main() -> int:
 
     rows = sweep()
     report = {
-        "environment": {
-            **{var: os.environ.get(var) for var in BLAS_VARS},
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": len(os.sched_getaffinity(0)),
-        },
+        "environment": environment(),
         "repeats": REPEATS,
         "rows": rows,
     }

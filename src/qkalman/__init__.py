@@ -34,7 +34,6 @@ from .block_encoding import (  # noqa: F401
     encode_svd_dilation,
     encode_zero,
     pad_to_square,
-    validate,
 )
 from .arithmetic import be_add, be_adjoint, be_multiply, be_negate  # noqa: F401
 from .inversion import (  # noqa: F401

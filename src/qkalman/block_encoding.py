@@ -1,4 +1,4 @@
-"""Construct, decode, and validate (alpha, a, eps)-block-encodings.
+"""Construct and decode (alpha, a, eps)-block-encodings.
 
 A BlockEncoding holds a unitary U on a+s qubits such that
 
@@ -39,7 +39,6 @@ from .tensor_ops import (
     as_matrix,
     identity_op,
     svd,
-    unitarity_residual,
 )
 
 
@@ -166,20 +165,18 @@ def encode_svd_dilation(m_scaled, alpha: float = 1.0,
     return BlockEncoding(op, alpha, 1, s, 0.0, shape)
 
 
-def encode_zero(s: int, alpha: float = 1.0,
-                shape: tuple | None = None) -> BlockEncoding:
+def encode_zero(s: int, shape: tuple | None = None) -> BlockEncoding:
     """Encoding of the zero matrix (the Frobenius constructors reject it).
 
     s ancillas, like the data-structure encoding. An X gate on the
     leading ancilla makes the <0...0| block vanish identically; alpha is
-    free (alpha * 0 = 0) and defaults to 1 so downstream product/sum
-    bookkeeping stays positive.
+    1 so downstream product/sum bookkeeping stays positive.
     """
     if s < 1:
         raise DimensionError("zero encoding needs at least one ancilla")
     flip = Dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     op = Extend(flip, 2 * s, (0,))
-    return BlockEncoding(op, alpha, s, s, 0.0, shape)
+    return BlockEncoding(op, 1.0, s, s, 0.0, shape)
 
 
 def decode(be: BlockEncoding) -> np.ndarray:
@@ -191,22 +188,3 @@ def decode(be: BlockEncoding) -> np.ndarray:
     rows, cols = be.shape if be.shape is not None else (2**be.system_qubits,) * 2
     return be.alpha * ancilla_block(be.op, be.ancillas, range(cols))[:rows]
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    deviation: float
-    unitarity: float
-    tolerance: float
-    ok: bool
-
-
-def validate(be: BlockEncoding, expected, nstates: int = 4) -> ValidationReport:
-    """Report ||expected - decode(be)||_2 against eps (report only, no raise)."""
-    expected = as_matrix(expected)
-    got = decode(be)
-    if got.shape != expected.shape:
-        raise DimensionError(f"expected {expected.shape}, decoded {got.shape}")
-    deviation = float(np.linalg.norm(expected - got, 2))
-    resid = unitarity_residual(be.op, nstates=nstates)
-    tol = be.eps + 1e-9
-    return ValidationReport(deviation, resid, tol, deviation <= tol)

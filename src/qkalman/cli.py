@@ -45,7 +45,7 @@ from .kalman import (
 from .tensor_ops import op_stats
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """Validated model + run parameters; kappa=None means margin policy.
 
@@ -62,7 +62,6 @@ class RunConfig:
     P0: np.ndarray
     controls: list
     measurements: list
-    steps: int
     readout_mode: str = "exact"
     shots: int = 16384
     iterations: int = 100
@@ -71,10 +70,9 @@ class RunConfig:
     eps_prime: float = 0.01
     kappa: float | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return _plain(self) == _plain(other)
+    @property
+    def steps(self) -> int:
+        return len(self.controls)
 
     @property
     def model(self) -> KalmanModel:
@@ -150,7 +148,6 @@ _CHECKS = {  # key -> check(value, key), returning the parsed value
     "x0": partial(_as_array, ndim=1),
     "controls": _as_vectors,
     "measurements": _as_vectors,
-    "steps": partial(_as_int, minimum=0),
     "readout_mode": _as_mode,
     "shots": partial(_as_int, minimum=1),
     "iterations": partial(_as_int, minimum=1),
@@ -168,6 +165,7 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown keys are rejected with their location; every error message
     names the offending field. Without a `seed` key the seed is 0.
+    `controls` and `measurements` must have one entry per step each.
     """
     try:
         doc = yaml.safe_load(text)
@@ -187,6 +185,10 @@ def parse_config(text: str) -> RunConfig:
 
     config = RunConfig(**{key: _CHECKS[key](doc[key], key)
                           for key in keys if key in doc})
+    if len(config.controls) != len(config.measurements):
+        raise ConfigError(
+            f"controls has {len(config.controls)} entries but measurements "
+            f"has {len(config.measurements)}; a run takes one of each per step")
     model = config.model  # dimension validation with field-named errors
     n = model.state_dim
     if config.x0.size != n:
@@ -195,17 +197,6 @@ def parse_config(text: str) -> RunConfig:
         raise DimensionError(f"P0 must be {n}x{n}, got {config.P0.shape}")
     _check_cov("P0", config.P0)
     return config
-
-
-def _plain(config: RunConfig) -> dict:
-    """The config as plain lists and numbers in field order; kappa if set."""
-    doc = {f.name: getattr(config, f.name) for f in fields(config)}
-    return _jsonable({k: v for k, v in doc.items() if v is not None})
-
-
-def emit_config(config: RunConfig) -> str:
-    """YAML text that parses back to an equal RunConfig."""
-    return yaml.safe_dump(_plain(config), sort_keys=False)
 
 
 def _jsonable(obj):
@@ -248,7 +239,7 @@ def run_report(config: RunConfig) -> dict:
             "P_q": q.P, "P_c": c.P,
         })
     report = {
-        "config": _plain(config),
+        "config": {k: v for k, v in vars(config).items() if v is not None},
         "readout_mode": config.readout_mode,
         "steps": steps_out,
         "ledger": ledger.rows(),

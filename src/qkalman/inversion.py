@@ -726,11 +726,10 @@ def qsvt_apply(be_a: BlockEncoding, phi: PhaseFactors) -> BlockEncoding:
     Output block equals sum_j Re(p)(sigma_j) |w_j><v_j| where the input
     block is sum_j sigma_j |w_j><v_j|; alpha=1, a_out = a_in + 1.
     """
-    out = _transform(be_a, phi)
     sig_max = float(np.linalg.norm(decode(be_a) / be_a.alpha, 2))
     if sig_max > 1 + 1e-10:
         raise SigmaRangeError(sig_max, 0.0, 1.0)
-    return out
+    return _transform(be_a, phi)
 
 
 def be_invert(be_a: BlockEncoding, poly: ChebPoly,

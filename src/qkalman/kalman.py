@@ -273,7 +273,7 @@ def encode_matrix(mat, s: int) -> BlockEncoding:
     try:
         return encode_data_structure(pad_to_square(mat, s), shape=mat.shape)
     except DegenerateInputError:
-        return encode_zero(s, 1.0, shape=mat.shape)
+        return encode_zero(s, shape=mat.shape)
 
 
 def encode_vector(vec, s: int) -> BlockEncoding:

@@ -14,7 +14,6 @@ from qkalman.block_encoding import (
     encode_svd_dilation,
     encode_zero,
     pad_to_square,
-    validate,
 )
 from qkalman.errors import (
     DegenerateInputError,
@@ -175,7 +174,8 @@ def test_svd_dilation_rejects_expansions():
 
 
 def test_encode_zero_decodes_to_zero():
-    be = encode_zero(2, alpha=3.0, shape=(3, 3))
+    be = encode_zero(2, shape=(3, 3))
+    assert be.alpha == 1.0
     out = decode(be)
     assert out.shape == (3, 3)
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
@@ -192,18 +192,6 @@ def test_block_encoding_validates_fields():
         BlockEncoding(identity_op(2), 1.0, 1, 2)
     with pytest.raises(DimensionError):
         BlockEncoding(identity_op(2), 1.0, 1, 1, eps=-1.0)
-
-
-def test_validate_reports_deviation():
-    m = np.array([[1.0, -1.0], [1.0, 1.0]])
-    be = encode_data_structure(m)
-    ok = validate(be, m)
-    assert ok.ok and ok.deviation < 1e-10
-    bad = validate(be, m + 0.5)
-    assert not bad.ok and bad.deviation > 0.1
-    with pytest.raises(DimensionError,
-                       match=r"^expected \(1, 2\), decoded \(2, 2\)$"):
-        validate(be, m[:1])
 
 
 # ---------------------------------------------------------------------------

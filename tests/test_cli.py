@@ -11,7 +11,6 @@ import yaml
 from qkalman import cli, errors, inversion
 from qkalman.cli import (
     RunConfig,
-    emit_config,
     emit_csv,
     main,
     parse_config,
@@ -33,7 +32,6 @@ x0: [2.0, 1.0]
 P0: [[1.0, 0.0], [0.0, 1.0]]
 controls: [[1.0]]
 measurements: [[1.0, 1.0]]
-steps: 0
 """
 
 
@@ -63,15 +61,16 @@ def test_parse_bundled_config():
 def test_config_round_trip():
     with open(CONFIG_PATH) as fh:
         config = parse_config(fh.read())
-    again = parse_config(emit_config(config))
-    assert again == config
+    report = run_report(config)
+    again = parse_config(yaml.safe_dump(report["config"]))
+    assert run_report(again) == report
 
 
 def test_parse_rejects_bad_documents(monkeypatch):
     with pytest.raises(ConfigError, match="A"):
         parse_config("")
-    with pytest.raises(ConfigError, match="steps"):
-        parse_config(mini_config(steps="three"))
+    with pytest.raises(ConfigError, match="iterations"):
+        parse_config(mini_config(iterations="three"))
     with pytest.raises(ConfigError, match="surprise"):
         parse_config(mini_config(surprise=1))
     with pytest.raises(ConfigError, match="readout_mode"):
@@ -96,7 +95,7 @@ def test_parse_rejects_bad_documents(monkeypatch):
          "A: entries must be finite"),
         (mini_config(x0=[[1.0, 2.0]]), "x0: expected a flat vector, got 2-D"),
         (mini_config(controls=[["a"]]), "controls[0]: not a numeric vector ("),
-        (mini_config(steps=True), "steps: expected an integer, got True"),
+        (mini_config(shots=True), "shots: expected an integer, got True"),
         (mini_config(eps_prime="x"), "eps_prime: expected a number, got 'x'"),
         (mini_config(A=[[True, False], [1, 1]]),
          "A: entries must be numbers, not booleans"),
@@ -104,6 +103,7 @@ def test_parse_rejects_bad_documents(monkeypatch):
         (mini_config(controls=[[True]]),
          "controls[0]: entries must be numbers, not booleans"),
         (mini_config(degree_cap=501), "unknown key 'degree_cap' at top level"),
+        (mini_config(steps=1), "unknown key 'steps' at top level"),
     ]:
         with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_config(doc)
@@ -119,7 +119,7 @@ def test_parse_rejects_bad_documents(monkeypatch):
 def test_non_finite_number_is_a_config_error(field, value, tmp_path, capsys):
     # YAML's .inf and .nan, and an integer too large for a float
     config_path = tmp_path / "inf.yaml"
-    config_path.write_text(mini_config(steps=1, **{field: value}))
+    config_path.write_text(mini_config(**{field: value}))
     assert main(["run", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
 
@@ -166,7 +166,7 @@ def test_seed_comes_from_the_config_alone():
 @pytest.mark.parametrize("field", ["seed"])
 def test_negative_seed_is_a_config_error(field, tmp_path, capsys):
     # a sampled run must stop at the config, not at its first draw
-    doc = {"steps": 1, "kappa": 3.5, "readout_mode": "sampled", field: -5}
+    doc = {"kappa": 3.5, "readout_mode": "sampled", field: -5}
     config_path = tmp_path / "neg.yaml"
     config_path.write_text(mini_config(**doc))
     assert main(["run", str(config_path)]) == 2
@@ -189,13 +189,14 @@ def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
 
 def test_report_config_is_the_emitted_yaml():
     keys = ["A", "B", "H", "Q", "R", "x0", "P0", "controls", "measurements",
-            "steps", "readout_mode", "shots", "iterations", "seed",
+            "readout_mode", "shots", "iterations", "seed",
             "kappa_margin", "eps_prime"]
-    for config, last in ((parse_config(mini_config()), []),
-                         (parse_config(mini_config(kappa=3.5)), ["kappa"])):
-        doc = yaml.safe_load(emit_config(config))
+    for extra, last in (({}, []), ({"kappa": 3.5}, ["kappa"])):
+        config = parse_config(mini_config(controls=[], measurements=[],
+                                          **extra))
+        doc = run_report(config)["config"]
         assert list(doc) == keys + last  # kappa only when it is set
-        assert run_report(config)["config"] == doc
+        assert yaml.safe_load(yaml.safe_dump(doc, sort_keys=False)) == doc
 
 
 def test_readme_documents_every_config_key():
@@ -203,12 +204,16 @@ def test_readme_documents_every_config_key():
     with open(readme_path) as fh:
         section = fh.read().split("## Configuration\n", 1)[1]
     section = section.split("\n## ", 1)[0]
-    assert [f.name for f in fields(RunConfig)
-            if f"`{f.name}`" not in section] == []
+    names = [f.name for f in fields(RunConfig)]
+    assert [name for name in names if f"`{name}`" not in section] == []
+    table = [line.split("|")[1] for line in section.splitlines()
+             if line.startswith("| `")]
+    assert [key for cell in table for key in re.findall(r"`(\w+)`", cell)
+            if key not in names] == []
 
 
 def test_zero_step_report_shape():
-    report = run_report(parse_config(mini_config()))
+    report = run_report(parse_config(mini_config(controls=[], measurements=[])))
     assert report["steps"][0]["step"] == 0
     np.testing.assert_allclose(report["steps"][0]["x_hat_q"], [2.0, 1.0])
     assert report["ledger"] == []
@@ -219,7 +224,7 @@ def test_zero_step_report_shape():
 
 
 def test_emit_csv_rejects_unknown_kind():
-    report = run_report(parse_config(mini_config()))
+    report = run_report(parse_config(mini_config(controls=[], measurements=[])))
     with pytest.raises(ConfigError):
         emit_csv(report, "interpretive_dance")
     with pytest.raises(ConfigError, match="sampled"):
@@ -228,8 +233,7 @@ def test_emit_csv_rejects_unknown_kind():
 
 def test_run_command_writes_csvs(tmp_path, capsys):
     config_path = tmp_path / "run.yaml"
-    config_path.write_text(mini_config(steps=1, kappa=3.5,
-                                       readout_mode="sampled",
+    config_path.write_text(mini_config(kappa=3.5, readout_mode="sampled",
                                        shots=16384, iterations=50, seed=5))
     csv_dir = tmp_path / "out"
     code = main(["run", str(config_path), "--csv-dir", str(csv_dir)])
@@ -260,6 +264,15 @@ def test_histogram_csv_lists_targets_then_rest():
 
 def test_run_command_missing_config_is_a_config_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+
+
+def test_run_refuses_unequal_controls_and_measurements(tmp_path, capsys):
+    config_path = tmp_path / "uneven.yaml"
+    config_path.write_text(mini_config(controls=[[1.0], [0.5]]))
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: controls has 2 entries but measurements has 1; "
+        "a run takes one of each per step\n")
 
 
 # the README's exit-code table
@@ -294,7 +307,7 @@ def test_each_error_exits_with_its_readme_code(cls, monkeypatch, capsys):
 def test_run_command_singular_model_exit_code(tmp_path):
     config_path = tmp_path / "bad.yaml"
     config_path.write_text(mini_config(
-        steps=1, H=[[0.0, 0.0], [0.0, 0.0]],
+        H=[[0.0, 0.0], [0.0, 0.0]],
         R=[[0.0, 0.0], [0.0, 0.0]], Q=[[0.0, 0.0], [0.0, 0.0]]))
     assert main(["run", str(config_path)]) == 5
 
@@ -317,7 +330,7 @@ def test_scalar_x0_runs_a_one_state_model(tmp_path, capsys):
     config_path = tmp_path / "scalar.yaml"
     config_path.write_text(yaml.safe_dump(dict(
         A=[[0.9]], B=[[1.0]], H=[[1.0]], Q=[[0.1]], R=[[0.5]], x0=2.0,
-        P0=[[1.0]], controls=[[0.5]], measurements=[[1.5]], steps=1)))
+        P0=[[1.0]], controls=[[0.5]], measurements=[[1.5]])))
     assert main(["run", str(config_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["x0"] == [2.0]
@@ -339,7 +352,7 @@ def test_run_command_dimension_exit_code(tmp_path):
 def test_run_refuses_a_covariance_that_is_not_symmetric_psd(field, mat, fault,
                                                             tmp_path, capsys):
     config_path = tmp_path / "cov.yaml"
-    config_path.write_text(mini_config(steps=1, **{field: mat}))
+    config_path.write_text(mini_config(**{field: mat}))
     assert main(["run", str(config_path)]) == 3
     assert capsys.readouterr().err == f"error: {field} must be {fault}\n"
 
@@ -429,12 +442,3 @@ def test_angles_command(capsys):
     assert all(np.isfinite(values))
     assert "degree 57" in captured.err
 
-
-def test_run_config_equality_uses_array_contents():
-    a = parse_config(mini_config())
-    b = parse_config(mini_config())
-    assert a == b
-    c = parse_config(mini_config(x0=[2.0, 1.5]))
-    assert a != c
-    assert a != "not a config"
-    assert isinstance(a, RunConfig)

@@ -631,7 +631,7 @@ def test_qsvt_transforms_singular_values():
     assert count == 50
 
 
-def test_qsvt_rejects_bad_inputs():
+def test_qsvt_rejects_bad_inputs(monkeypatch):
     m = np.diag([0.5, 0.25])
     be = encode_svd_dilation(m)
     with pytest.raises(ParityError):
@@ -641,8 +641,12 @@ def test_qsvt_rejects_bad_inputs():
         qsvt_apply(fuzzy, PhaseFactors([np.pi / 4, -np.pi / 4]))
     from qkalman.tensor_ops import Dense
     stretched = type(be)(Dense(np.eye(4) * 1.2), 1.0, 1, 1)  # block norm 1.2
+    built = []
+    monkeypatch.setattr(inversion, "_dense_transform",
+                        lambda *args: built.append(args))
     with pytest.raises(SigmaRangeError):
         qsvt_apply(stretched, PhaseFactors([np.pi / 4, -np.pi / 4]))
+    assert built == []  # refused before the transform is built
 
 
 ENCODERS = {"data_structure": encode_data_structure,

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end and print their rows."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,6 +17,12 @@ def run_script(name: str, *args: str) -> list[str]:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def assert_blas_threads_recorded(report: dict):
+    # every sweep records the three BLAS thread variables as it found them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert report["environment"][var] == os.environ.get(var), var
 
 
 def test_run_worked_example_prints_comparison_and_ledger():
@@ -46,7 +53,7 @@ def test_phase_solver_sweep_writes_a_row_per_point(tmp_path):
     lines = run_script("phase_solver_sweep.py", "--out", str(out))
     assert lines[-1].endswith(str(out))
     report = json.loads(out.read_text())
-    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    assert_blas_threads_recorded(report)
     rows = report["rows"]
     assert [(r["kappa"], r["eps_prime"]) for r in rows] == [
         (k, e) for k in (1.5, 2.0, 3.5, 5.0, 8.0, 12.0, 14.3, 20.0)
@@ -69,7 +76,9 @@ def test_sampling_sweep_writes_a_row_per_point(tmp_path):
     out = tmp_path / "BENCH_sampling.json"
     lines = run_script("sampling_sweep.py", "--out", str(out))
     assert lines[-1].endswith(str(out))
-    rows = json.loads(out.read_text())["rows"]
+    report = json.loads(out.read_text())
+    assert_blas_threads_recorded(report)
+    rows = report["rows"]
     assert [(r["outcomes"], r["iterations"]) for r in rows] == [
         (o, i) for o in (3, 5) for i in (1, 10, 100, 1000)]
     for r in rows:
@@ -82,7 +91,7 @@ def test_transform_sweep_writes_a_row_per_point(tmp_path):
     lines = run_script("transform_sweep.py", "--out", str(out))
     assert lines[-1].endswith(str(out))
     report = json.loads(out.read_text())
-    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    assert_blas_threads_recorded(report)
     rows = report["rows"]
     assert [(r["system_qubits"], r["kappa"], r["eps_prime"]) for r in rows] == [
         (s, k, 0.01) for s in (1, 2, 3) for k in (3.0, 6.0, 12.0)]
@@ -98,7 +107,7 @@ def test_encoding_sweep_writes_a_row_per_point(tmp_path):
     lines = run_script("encoding_sweep.py", "--out", str(out))
     assert lines[-1].endswith(str(out))
     report = json.loads(out.read_text())
-    assert "OPENBLAS_NUM_THREADS" in report["environment"]
+    assert_blas_threads_recorded(report)
     encodings = report["encodings"]
     assert [r["system_qubits"] for r in encodings] == [1, 2, 3, 4, 5]
     for r in encodings:
