@@ -61,9 +61,8 @@ def be_add(be_a: BlockEncoding, be_b: BlockEncoding) -> BlockEncoding:
         [np.sqrt(alpha), np.sqrt(beta)],
         [np.sqrt(beta), -np.sqrt(alpha)],
     ]) / norm
-    v_in = Extend(Dense(v), total, (0,))
-    v_out = Extend(Dense(v.conj().T), total, (0,))
-    op = Product((v_out, select, v_in))
+    prep = Extend(Dense(v), total, (0,))  # V is a real symmetric reflection: V^dag = V
+    op = Product((prep, select, prep))
 
     shape = be_a.shape if be_a.shape == be_b.shape else None
     return BlockEncoding(op, alpha + beta, inner_anc + 1, s,

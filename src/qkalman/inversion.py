@@ -56,13 +56,17 @@ polynomial peaks at 1 - 1e-8, where Re u00 <= 1 folds, so the root is
 nearly singular and plain Newton converges only linearly (16 steps
 from degree 23 to 415). Two changes make that root regular: the
 positive node nearest the peak is moved onto the peak's |x|
-(`ChebPoly.peak_at`), and once the node residual is below 5e-3 each
-step solves jac @ step = sqrt(1 - R^2) (arccos p - arccos R), Newton on
-arccos(Re u00) = arccos(p), whose Jacobian is jac with scaled rows.
-arccos is one-to-one on [-1, 1], so the roots are the same; a cold
-solve then takes 8 or 9 steps. Each step evaluates the
-residual and Jacobian in a half-length pass over SU(2) pairs (a, b)
-standing for [[a, b], [-b*, a*]], with E_k = exp(i psi_k Z). Only the
+(`ChebPoly.peak_at`, as `inverse_poly` records it), and once the node
+residual is below 5e-3 each step solves jac @ step = sqrt(1 - R^2)
+(arccos p - arccos R), Newton on arccos(Re u00) = arccos(p), whose
+Jacobian is jac with scaled rows. arccos is one-to-one on [-1, 1], so
+the roots are the same; a cold solve then takes 8 or 9 steps. The
+phases implement the polynomial they are handed, never another: a
+target with |p(peak_at)| above 1 - 5e-9 is refused (`SolverError`),
+as |Re u00| <= 1 and that close to the fold Newton stalls. Each step
+evaluates the residual and Jacobian in a half-length pass over SU(2)
+pairs (a, b) standing for [[a, b], [-b*, a*]], with
+E_k = exp(i psi_k Z). Only the
 prefixes P_k = E_0 W ... E_{k-1} W for k < h = (d+1)/2 are built: since
 the phases are a palindrome and W is symmetric, the product is
 U = Q W Q^T with Q = P_{h-1} E_{h-1}, and every suffix is S_k = P_k^dag U
@@ -167,31 +171,29 @@ def clear_cache():
 # Chebyshev polynomial of 1/x
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChebPoly:
     """Odd Chebyshev approximant of (1/scale)*(1/x) on [1/kappa, 1].
 
-    odd_coeffs[j] multiplies T_{2j+1}; eps_prime is the ACHIEVED sup of
-    |p(x) - (1/scale)(1/x)| over the measuring grid. peak_at, when set,
-    is the |x| where |p| peaks (as `_series_max` refines it); the phase
-    solver puts one node there, and locates the peak itself when it is
-    None.
+    odd_coeffs[j] multiplies T_{2j+1}, so the degree is 2*len - 1;
+    eps_prime is the ACHIEVED sup of |p(x) - (1/scale)(1/x)| over the
+    measuring grid. peak_at is the |x| where |p| peaks (as `_series_max`
+    refines it); the phase solver puts one node there.
     """
 
     odd_coeffs: np.ndarray
-    degree: int
     kappa: float
     scale: float
     eps_prime: float
-    peak_at: float | None = None
+    peak_at: float
 
     def __post_init__(self):
         object.__setattr__(self, "odd_coeffs",
                            np.asarray(self.odd_coeffs, dtype=float))
-        if self.degree % 2 == 0:
-            raise ParityError(f"degree must be odd, got {self.degree}")
-        if len(self.odd_coeffs) != (self.degree + 1) // 2:
-            raise DimensionError("coefficient count does not match degree")
+
+    @property
+    def degree(self) -> int:
+        return 2 * self.odd_coeffs.size - 1
 
 
 def _clenshaw_odd(odd_coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -229,16 +231,16 @@ def eval_cheb(poly: ChebPoly, x):
     return out if out.shape else float(out)
 
 
-def _odd_series_one_over_x(b: int, count: int | None = None) -> np.ndarray:
+def _odd_series_one_over_x(b: int, count: int) -> np.ndarray:
     """Odd Chebyshev coefficients c_1, c_3, ... of (1 - (1-x^2)^b)/x.
 
-    Only the first min(count, b) are built (all b when count is None).
+    Only the first min(count, b) are built.
     The tails sum_{i=j+1}^{b} C(2b, b+i) are exact integers, starting
     from (4^b - C(2b, b))/2 and stepping C(2b, b+j) down the exact
     recurrence C(2b, b+j+1) = C(2b, b+j) (b-j)/(b+j+1); each kept
     coefficient costs one correctly rounded int division by 4^b.
     """
-    count = b if count is None else min(count, b)
+    count = min(count, b)
     denom = 4**b
     comb = math.comb(2 * b, b)
     tail = (denom - comb) // 2
@@ -307,18 +309,17 @@ def _peak_candidates(odd_coeffs: np.ndarray, xs: np.ndarray, b: int) -> np.ndarr
     return np.concatenate(runs)
 
 
-def _series_max(odd_coeffs: np.ndarray, b: int | None = None) -> tuple[float, float]:
+def _series_max(odd_coeffs: np.ndarray, b: int) -> tuple[float, float]:
     """(max |series| over [-1, 1], the |x| where it is taken).
 
-    A scan of the measuring grid, then a local refinement: the bracket
-    around the best point is re-scanned with 65 points, each pass
-    narrowing it 32-fold, until it is 1e-13 wide. When odd_coeffs are a
-    truncation of f's series for this b, the grid scan visits only
-    `_peak_candidates`; the first best point, and so the bracket and the
-    result, are the full scan's.
+    odd_coeffs are a truncation of f's series for this b. A scan of the
+    measuring grid at `_peak_candidates` only, then a local refinement:
+    the bracket around the best point is re-scanned with 65 points, each
+    pass narrowing it 32-fold, until it is 1e-13 wide. The first best
+    point, and so the bracket and the result, are a full scan's.
     """
     xs = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    at = np.arange(xs.size) if b is None else _peak_candidates(odd_coeffs, xs, b)
+    at = _peak_candidates(odd_coeffs, xs, b)
     peak = where = 0.0
     while True:
         vals = np.abs(_clenshaw_odd(odd_coeffs, xs[at]))
@@ -370,10 +371,10 @@ def _start_degree(b: int, eps_prime: float) -> int:
 
 def _normalized(odd: np.ndarray, b: int, kappa: float, err: float) -> ChebPoly:
     """The series over its peak (with the margin), err its unscaled error."""
-    peak, where = _series_max(odd, b=b)
+    peak, where = _series_max(odd, b)
     scale = peak / (1.0 - _MARGIN)
-    return ChebPoly(odd / scale, 2 * odd.size - 1, kappa, scale, err / scale,
-                    where)
+    return ChebPoly(odd_coeffs=odd / scale, kappa=kappa, scale=scale,
+                    eps_prime=err / scale, peak_at=where)
 
 
 def inverse_poly(kappa: float, eps_prime: float) -> ChebPoly:
@@ -386,10 +387,10 @@ def inverse_poly(kappa: float, eps_prime: float) -> ChebPoly:
     finite or overflows the smoothing order). Cached on the arguments.
     """
     return _cached(("inverse_poly", kappa, eps_prime),
-                   lambda: _build_inverse_poly(kappa, eps_prime, DEGREE_CAP))
+                   lambda: _build_inverse_poly(kappa, eps_prime))
 
 
-def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> ChebPoly:
+def _build_inverse_poly(kappa: float, eps_prime: float) -> ChebPoly:
     if not 1 < kappa < math.inf:
         raise ApproximationError(f"kappa must be finite and exceed 1, got {kappa}")
     if not 0 < eps_prime < 1:
@@ -400,18 +401,18 @@ def _build_inverse_poly(kappa: float, eps_prime: float, degree_cap: int) -> Cheb
     except OverflowError:
         raise ApproximationError(
             f"smoothing order overflows at kappa {kappa}, eps' {eps_prime}") from None
-    if d > degree_cap:
-        raise ApproximationError(f"required degree {d} exceeds the cap {degree_cap}")
+    if d > DEGREE_CAP:
+        raise ApproximationError(f"required degree {d} exceeds the cap {DEGREE_CAP}")
     while True:
         odd = _odd_series_one_over_x(b, (d + 1) // 2)  # rebuilt on the rare bump
         err = _measured_error(odd, kappa, b)
         if err <= eps_prime:
             break
         d += 2
-        if d > min(degree_cap, 2 * b - 1):
+        if d > min(DEGREE_CAP, 2 * b - 1):
             raise ApproximationError(
                 f"tolerance {eps_prime} unattained at degree cap "
-                f"{degree_cap} (err {err:.3g})"
+                f"{DEGREE_CAP} (err {err:.3g})"
             )
     return _normalized(odd, b, kappa, err)
 
@@ -549,36 +550,29 @@ def solve_phase_factors(poly: ChebPoly) -> PhaseFactors:
 
     Newton's method on the square system of (d+1)/2 free angles against
     the (d+1)/2 positive Chebyshev nodes, the one nearest the peak
-    moved onto poly.peak_at (located by `_series_max` when None),
-    started from psi_0 = pi/4 with the other free angles 0. Below a node
-    residual of 5e-3 each step is Newton's on arccos(Re u00) = arccos(p),
-    which is regular at the peak node where plain Newton converges
-    linearly. |p| is read at that peak; above 1 - 5e-9 the target is
-    first rescaled to peak at 1 - 1e-8. Raises SolverError if a Newton
-    step is singular or non-finite, or if the node residual is still
-    above 1e-8 after the iteration budget. The result is verified at
-    the order-d Chebyshev nodes to 1e-6 before returning; SolverError
-    (with the final residual) otherwise. Cached on the polynomial's
-    degree and coefficients (rounded to 14 decimals).
+    moved onto poly.peak_at, started from psi_0 = pi/4 with the other
+    free angles 0. Below a node residual of 5e-3 each step is Newton's
+    on arccos(Re u00) = arccos(p), which is regular at the peak node
+    where plain Newton converges linearly. Raises SolverError if
+    |p(peak_at)| exceeds 1 - 5e-9 (inverse_poly's targets peak at
+    1 - 1e-8), if a Newton step is singular or non-finite, or if the
+    node residual is still above 1e-8 after the iteration budget. The
+    result is verified at the order-d Chebyshev nodes to 1e-6 before
+    returning; SolverError (with the final residual) otherwise. Cached
+    on the polynomial's coefficients (rounded to 14 decimals), whose
+    count fixes the degree.
     """
-    key = ("phases", poly.degree, poly.odd_coeffs.round(14).tobytes())
+    key = ("phases", poly.odd_coeffs.round(14).tobytes())
     return _cached(key, lambda: _solve(poly))
 
 
 def _solve(poly: ChebPoly) -> PhaseFactors:
-    d = poly.degree  # odd, as ChebPoly enforces
-    peak_at = poly.peak_at
-    if peak_at is None:
-        _, peak_at = _series_max(poly.odd_coeffs)
+    d, peak_at = poly.degree, poly.peak_at
     peak = abs(eval_cheb(poly, peak_at))
-    coeffs = poly.odd_coeffs
     if peak > 1.0 - _MARGIN / 2:
-        # rescale below the solvability bound; the response then matches
-        # the rescaled polynomial (documented behaviour for callers that
-        # hand in an unnormalized target)
-        coeffs = coeffs * ((1.0 - _MARGIN) / peak)
-        poly = ChebPoly(coeffs, d, poly.kappa, poly.scale * peak / (1.0 - _MARGIN),
-                        poly.eps_prime)
+        raise SolverError(
+            f"target peaks at |p({peak_at:.12g})| = {peak:.12g}, above "
+            f"1 - 5e-9 (degree {d})")
 
     half = (d + 1) // 2
     nodes = np.cos((2 * np.arange(1, half + 1) - 1) * np.pi / (4 * half))

@@ -467,9 +467,10 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
 
     Returns (trajectory, ledger); trajectory[0] is the initial state.
     Each step encodes, runs `q_step` and reads x_hat and P through `read_out`.
-    A "sampled" run's seed must be a nonnegative integer, checked before
-    any step runs; a sampled step whose state estimate draws no counts
-    at all aborts with the partial trajectory attached.
+    Every control and measurement must have its model size, and a
+    "sampled" run's seed must be a nonnegative integer, both checked
+    before any step runs; a sampled step whose state estimate draws no
+    counts at all aborts with the partial trajectory attached.
     """
     if readout_mode not in ("exact", "sampled"):
         raise ConfigError(f"readout_mode must be exact or sampled, "
@@ -490,15 +491,16 @@ def q_filter_run(model: KalmanModel, init: FilterState, controls,
             f"need at least {steps} controls and measurements, "
             f"got {len(controls)} and {len(measurements)}")
 
+    inputs = [(_vector(controls[j], c, f"controls[{j}]"),
+               _vector(measurements[j], m, f"measurements[{j}]"))
+              for j in range(steps)]
+
     model_be = {k: encode_matrix(getattr(model, k), s) for k in "ABHQR"}
     ledger = NormLedger()
     trajectory = [init]
     state = init
-    for j in range(steps):
+    for u, z in inputs:
         step = state.k + 1
-        u = _vector(controls[j], c, f"controls[{j}]")
-        z = _vector(measurements[j], m, f"measurements[{j}]")
-
         x_hat_be, p_hat_be = q_step(
             ledger, model_be, encode_vector(state.x_hat, s),
             encode_matrix(state.P, s), encode_vector(u, s), encode_vector(z, s),

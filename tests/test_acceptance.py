@@ -38,7 +38,7 @@ from qkalman.kalman import (
     q_step,
 )
 from qkalman.sampling import estimate_entries, exact_amplitudes, pooled_report
-from qkalman.tensor_ops import op_stats, unitarity_residual
+from qkalman.tensor_ops import unitarity_residual
 from test_inversion import small_target_poly
 
 

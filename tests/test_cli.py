@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qkalman import cli, errors, inversion
+from qkalman import cli, errors, inversion, kalman
 from qkalman.cli import (
     RunConfig,
     emit_csv,
@@ -181,6 +181,31 @@ def test_filter_rejects_bad_sampling_seed_before_any_step(seed):
     with pytest.raises(ConfigError, match="seed"):
         q_filter_run(config.model, config.init, [], [], 1, "sampled",
                      seed=seed)
+
+
+@pytest.mark.parametrize("field, entries, message", [
+    ("controls", [[1.0], [1.0], [1.0, 2.0]], "controls[2] has 2 entries, expected 1"),
+    ("measurements", [[1.0, 1.0], [1.0, 1.0], [1.0]],
+     "measurements[2] has 1 entries, expected 2"),
+])
+def test_wrong_sized_inputs_are_refused_before_any_step(field, entries, message,
+                                                         monkeypatch, tmp_path,
+                                                         capsys):
+    # a wrong-sized entry for the third step stops the run before the first
+    # step runs, through the API and through the CLI
+    steps = []
+    monkeypatch.setattr(kalman, "q_step", lambda *args: steps.append(args))
+    doc = mini_config(**{"controls": [[1.0]] * 3,
+                         "measurements": [[1.0, 1.0]] * 3, field: entries})
+    config = parse_config(doc)
+    with pytest.raises(DimensionError, match="^" + re.escape(message) + "$"):
+        q_filter_run(config.model, config.init, config.controls,
+                     config.measurements, config.steps)
+    config_path = tmp_path / "sizes.yaml"
+    config_path.write_text(doc)
+    assert main(["run", str(config_path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,14 +47,20 @@ from qkalman.tensor_ops import (
 )
 
 
+def hand_poly(odd):
+    """ChebPoly of the given odd coefficients, peak_at from the full-grid scan."""
+    odd = np.asarray(odd, dtype=float)
+    return ChebPoly(odd_coeffs=odd, kappa=2.0, scale=1.0, eps_prime=0.0,
+                    peak_at=full_grid_series_max(odd)[1])
+
+
 def small_target_poly(seed=42, degree=7):
     """Random odd polynomial safely inside the solvable band."""
     rng = philox(seed)
     coeffs = rng.standard_normal((degree + 1) // 2)
-    probe = ChebPoly(coeffs, degree, 2.0, 1.0, 0.0)
     grid = np.linspace(-1, 1, 2001)
-    coeffs = 0.9 * coeffs / np.max(np.abs(eval_cheb(probe, grid)))
-    return ChebPoly(coeffs, degree, 2.0, 1.0, 0.0)
+    coeffs = 0.9 * coeffs / np.max(np.abs(inversion._clenshaw_odd(coeffs, grid)))
+    return hand_poly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +115,17 @@ def test_untruncated_series_matches_smoothed_reciprocal():
 
 @pytest.mark.parametrize("kappa,eps", [(3.5, 1e-2), (12.0, 1e-3)])
 def test_series_max_matches_a_dense_scan(kappa, eps):
+    # the pruned scan of inverse_poly's series against a 200001-point scan
+    b = smoothing_order(kappa, eps)
     degree = inverse_poly(kappa, eps).degree
-    odd = inversion._odd_series_one_over_x(smoothing_order(kappa, eps))
-    odd = odd[: (degree + 1) // 2]
+    odd = inversion._odd_series_one_over_x(b, (degree + 1) // 2)
     full = np.zeros(degree + 1)
     full[1::2] = odd
     xs = np.linspace(-1.0, 1.0, 200001)
     i = int(np.argmax(np.abs(np.polynomial.chebyshev.chebval(xs, full))))
     xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 200001)
     want = np.max(np.abs(np.polynomial.chebyshev.chebval(xs, full)))
-    peak, where = inversion._series_max(odd)
+    peak, where = inversion._series_max(odd, b)
     assert peak == pytest.approx(want, rel=1e-12)
     # the returned location is where that peak is taken
     assert where > 0
@@ -129,28 +137,27 @@ def test_series_prefix_matches_fraction_reference(b):
     # exact-integer tails and one rounded division give the Fraction values
     # bit for bit; a count past b is clipped to b
     want = fraction_series_one_over_x(b)
-    np.testing.assert_array_equal(inversion._odd_series_one_over_x(b), want)
     for count in (b // 2, b, b + 3):
         got = inversion._odd_series_one_over_x(b, count)
         np.testing.assert_array_equal(got, want[:count])
 
 
-def build_outcome(kappa, eps, cap):
+def build_outcome(kappa, eps):
     """The build's ChebPoly, or the message of its ApproximationError."""
     try:
-        return inversion._build_inverse_poly(kappa, eps, cap)
+        return inversion._build_inverse_poly(kappa, eps)
     except ApproximationError as exc:
         return str(exc)
 
 
-def full_grid_outcome(monkeypatch, kappa, eps, cap):
+def full_grid_outcome(monkeypatch, kappa, eps):
     """`build_outcome` with both grid scans replaced by their full-grid references."""
     with monkeypatch.context() as patch:
         patch.setattr(inversion, "_measured_error",
                       lambda odd, kappa, b: full_grid_measured_error(odd, kappa))
         patch.setattr(inversion, "_series_max",
-                      lambda odd, b=None: full_grid_series_max(odd))
-        return build_outcome(kappa, eps, cap)
+                      lambda odd, b: full_grid_series_max(odd))
+        return build_outcome(kappa, eps)
 
 
 def assert_same_build(got, want):
@@ -178,10 +185,10 @@ def test_pruned_build_matches_the_full_grid_build(monkeypatch):
     for _ in range(200):
         kappa = float(rng.uniform(1.2, 20.0))
         eps = float(10.0 ** rng.uniform(-3.0, np.log10(0.3)))
-        want = full_grid_outcome(monkeypatch, kappa, eps, 501)
+        want = full_grid_outcome(monkeypatch, kappa, eps)
         with monkeypatch.context() as patch:
             patch.setattr(inversion, "_peak_candidates", spy)
-            got = build_outcome(kappa, eps, 501)
+            got = build_outcome(kappa, eps)
         assert_same_build(got, want)
     assert len(candidates) >= 190
     assert all(at.size < 1000 for at in candidates)
@@ -196,8 +203,9 @@ def test_pruned_build_matches_after_degree_bumps(monkeypatch, kappa, eps, start,
     # bump of two until eps' is met, or fails at the cap with the last
     # measured error in the message; the pruned scans agree at every step
     monkeypatch.setattr(inversion, "_start_degree", lambda b, eps: start)
-    got = build_outcome(kappa, eps, cap)
-    assert_same_build(got, full_grid_outcome(monkeypatch, kappa, eps, cap))
+    monkeypatch.setattr(inversion, "DEGREE_CAP", cap)
+    got = build_outcome(kappa, eps)
+    assert_same_build(got, full_grid_outcome(monkeypatch, kappa, eps))
     if degree is None:
         assert got == f"tolerance {eps} unattained at degree cap {cap} (err 0.0166)"
     else:
@@ -250,7 +258,7 @@ def test_tail_bound_covers_the_dropped_coefficients(kappa, eps):
     # tau covers the sum of |c_j| over every dropped j, plus the slack for
     # rounding, for every count of kept terms
     b = smoothing_order(kappa, eps)
-    dropped = np.cumsum(np.abs(inversion._odd_series_one_over_x(b))[::-1])[::-1]
+    dropped = np.cumsum(np.abs(inversion._odd_series_one_over_x(b, b))[::-1])[::-1]
     bound = np.array([inversion._tail_bound(b, kept) for kept in range(b)])
     assert np.all(bound >= dropped + inversion._TAIL_SLACK)
     assert inversion._tail_bound(b, b) == inversion._TAIL_SLACK
@@ -267,7 +275,7 @@ def test_truncation_error_decreases_with_degree():
 def test_eval_cheb_matches_reference_clenshaw():
     rng = philox(13)
     coeffs = rng.standard_normal(5)
-    poly = ChebPoly(coeffs, 9, 2.0, 1.0, 0.0)
+    poly = hand_poly(coeffs)
     full = np.zeros(10)
     full[1::2] = coeffs
     xs = np.linspace(-1, 1, 101)
@@ -293,7 +301,7 @@ def test_clenshaw_odd_matches_chebval(degree):
 
 
 def test_eval_cheb_rejects_out_of_domain():
-    poly = ChebPoly([1.0], 1, 2.0, 1.0, 0.0)
+    poly = hand_poly([1.0])
     with pytest.raises(SigmaRangeError):
         eval_cheb(poly, 1.5)
     with pytest.raises(SigmaRangeError):
@@ -301,10 +309,11 @@ def test_eval_cheb_rejects_out_of_domain():
 
 
 def test_chebpoly_validation():
-    with pytest.raises(ParityError):
-        ChebPoly([1.0], 2, 2.0, 1.0, 0.0)
-    with pytest.raises(DimensionError):
-        ChebPoly([1.0, 0.0], 1, 2.0, 1.0, 0.0)
+    # the degree follows from the coefficient count, and every field is
+    # a keyword, so a positional call cannot bind a value to the wrong one
+    assert hand_poly(np.ones(5)).degree == 9
+    with pytest.raises(TypeError):
+        ChebPoly([1.0], 2.0, 1.0, 0.0, 1.0)
     with pytest.raises(ParityError):
         inverse_poly_at_degree(3.5, 0.01, 10)
     with pytest.raises(DimensionError, match="^need at least two angles$"):
@@ -341,12 +350,15 @@ def test_solver_cache_returns_same_object():
     assert solve_phase_factors(poly) is solve_phase_factors(poly)
 
 
-def test_solver_rescales_oversized_targets():
-    # |p| exceeds 1, so the solver clamps it just under the bound
-    poly = ChebPoly([1.2], 1, 2.0, 1.0, 0.0)
-    phi = solve_phase_factors(poly)
-    resp = qsp_response(phi, 0.5)
-    assert resp.real == pytest.approx(0.5, abs=1e-7)
+def test_solver_refuses_oversized_targets():
+    # a target whose peak passes 1 - 5e-9 has no phases that implement
+    # it; the solver names the peak and refuses instead of solving for
+    # another polynomial
+    for top, shown in ((1.2, "1.2"), (1.0 - 4e-9, "0.999999996")):
+        want = f"target peaks at |p(1)| = {shown}, above 1 - 5e-9 (degree 1)"
+        with pytest.raises(SolverError, match="^" + re.escape(want) + "$") as info:
+            solve_phase_factors(hand_poly([top]))
+        assert info.value.exit_code == 7
 
 
 @pytest.mark.parametrize(
@@ -413,41 +425,26 @@ def test_solver_lands_on_the_plain_newton_root(kappa, eps):
 
 def test_solver_solves_random_odd_polynomials():
     # odd polynomials of degree 1..117 scaled to peaks from 0.3 up to
-    # 1 - 1e-8, half of them built with their peak's location
+    # 1 - 1e-8, each built with its peak's location
     rng = philox(1901)
     for trial in range(120):
         degree = 2 * int(rng.integers(0, 59)) + 1
         odd = rng.standard_normal((degree + 1) // 2)
         top = 1.0 - 10.0 ** rng.uniform(-8.0, np.log10(0.7))
-        peak, where = inversion._series_max(odd)
-        poly = ChebPoly(odd * (top / peak), degree, 2.0, 1.0, 0.0,
-                        where if trial % 2 else None)
+        peak, where = full_grid_series_max(odd)
+        poly = ChebPoly(odd_coeffs=odd * (top / peak), kappa=2.0, scale=1.0,
+                        eps_prime=0.0, peak_at=where)
         phi = solve_phase_factors(poly)
         assert phi.residual <= 1e-8, (trial, degree, top)
         assert phi.iterations <= 16, (trial, degree, top)
-
-
-def test_solver_locates_a_missing_peak():
-    # without peak_at the solver locates the peak with `_series_max` and
-    # lands on the same angles as with the location inverse_poly records
-    poly = inverse_poly(8.25, 1e-2)
-    # the top is flat to rounding over about 1e-9, so the refinement of the
-    # normalized series stops at a neighbouring point of it
-    assert poly.peak_at == pytest.approx(
-        inversion._series_max(poly.odd_coeffs)[1], abs=1e-8)
-    with_peak = solve_phase_factors(poly)
-    clear_cache()  # the cache key ignores peak_at
-    without = solve_phase_factors(replace(poly, peak_at=None))
-    assert without is not with_peak
-    np.testing.assert_allclose(without.angles, with_peak.angles, rtol=0, atol=1e-10)
 
 
 def test_zero_polynomial_solves_in_zero_steps():
     # a zero series "peaks" at 0, where no node may go (every odd
     # response vanishes there); the start already has node residual 0
     odd = np.zeros(5)
-    assert inversion._series_max(odd) == (0.0, 0.0)
-    phi = solve_phase_factors(ChebPoly(odd, 9, 2.0, 1.0, 0.0))
+    assert full_grid_series_max(odd) == (0.0, 0.0)
+    phi = solve_phase_factors(hand_poly(odd))
     assert phi.iterations == 0
     assert phi.residual <= 1e-12
 
@@ -515,15 +512,14 @@ def test_solve_cache_keeps_the_32_most_recent():
     assert size == 32
     kappas = [2.0 + 0.01 * i for i in range(size // 2)]
     polys = [inverse_poly(k, 0.1) for k in kappas]
-    targets = [ChebPoly([0.5 + 0.01 * i], 1, 2.0, 1.0, 0.0)
-               for i in range(size // 2)]
+    targets = [hand_poly([0.5 + 0.01 * i]) for i in range(size // 2)]
     phis = [solve_phase_factors(t) for t in targets]
     assert len(inversion._cache) == size
     assert solve_phase_factors(targets[-1]) is phis[-1]
     # polys[0] is the oldest entry; a hit refreshes it, so the next insert
     # evicts polys[1] instead
     assert inverse_poly(kappas[0], 0.1) is polys[0]
-    solve_phase_factors(ChebPoly([0.1], 1, 2.0, 1.0, 0.0))
+    solve_phase_factors(hand_poly([0.1]))
     assert len(inversion._cache) == size
     assert inverse_poly(kappas[0], 0.1) is polys[0]
     assert solve_phase_factors(targets[0]) is phis[0]
